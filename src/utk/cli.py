@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
-import time
 from pathlib import Path
 
 from . import corpuscheck as C
@@ -22,34 +21,16 @@ from . import elab as E
 from . import kernel as K
 from . import parser as P
 from . import syntax as S
-from .report import Report
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
 
 
-def _check_files(paths, opaque=frozenset()):
-    report = Report()
-    scope = K.GlobalScope()
-    core = []
+def _check_files(paths):
     decls = []
     for path in paths:
         decls.extend(P.parse_program(Path(path).read_text()))
-    for sd in decls:
-        t0 = time.time()
-        try:
-            constants = scope.entries.keys()
-            type_t = E.elab_term(sd.type, [], constants)
-            body_t = None if sd.body is None else E.elab_term(sd.body, [], constants)
-            decl = S.Declaration(sd.name, type_t, body_t, opaque=sd.name in opaque)
-            entry = K.check_declaration(scope, decl)
-            scope.add(sd.name, entry)
-            core.append(decl)
-            report.add_ok(sd.name, time.time() - t0)
-        except (K.KernelError, E.ElabError, S.MalformedTermError) as exc:
-            message = str(exc.cause) if isinstance(exc, K.DeclarationError) else str(exc)
-            report.add_error(sd.name, message, time.time() - t0)
-            break
+    core, scope, report, _ = E.elaborate_and_check(decls)
     return core, scope, report
 
 
@@ -160,3 +141,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

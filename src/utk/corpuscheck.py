@@ -10,7 +10,6 @@ from pathlib import Path
 from . import elab as E
 from . import kernel as K
 from . import parser as P
-from . import syntax as S
 from .report import Report
 
 
@@ -67,25 +66,8 @@ def check_corpus(directory: Path = None):
     declaration, which the report names.
     """
     directory = directory or corpus_dir()
-    opaque = load_opaque(directory)
-    report = Report()
-    scope = K.GlobalScope()
-    core = []
-    for sd in parse_corpus(directory):
-        t0 = time.time()
-        try:
-            constants = scope.entries.keys()
-            type_t = E.elab_term(sd.type, [], constants)
-            body_t = None if sd.body is None else E.elab_term(sd.body, [], constants)
-            decl = S.Declaration(sd.name, type_t, body_t, opaque=sd.name in opaque)
-            entry = K.check_declaration(scope, decl)
-            scope.add(sd.name, entry)
-            core.append(decl)
-            report.add_ok(sd.name, time.time() - t0)
-        except (K.KernelError, E.ElabError, S.MalformedTermError) as exc:
-            message = str(exc.cause) if isinstance(exc, K.DeclarationError) else str(exc)
-            report.add_error(sd.name, message, time.time() - t0)
-            return core, scope, report
+    core, scope, report, _ = E.elaborate_and_check(
+        parse_corpus(directory), load_opaque(directory))
     return core, scope, report
 
 

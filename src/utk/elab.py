@@ -7,9 +7,13 @@ Sigma/Pi of singletons), which `check` resolves in place.
 
 from __future__ import annotations
 
+import dataclasses
+import time
+
 from . import kernel as K
 from . import parser as P
 from . import syntax as S
+from .report import Report
 from .syntax import (
     Apply, Constant, Declaration, Fst, Hole, Id, J, Lambda, Pair, Pi, Refl,
     Sigma, Snd, Term, Var, shift,
@@ -116,8 +120,17 @@ def _strip_binders(term: Term, n: int):
     return wrapped, ["x", "y", "p"][:n]
 
 
+_SUBTERMS = {
+    Pi: ("domain", "codomain"), Lambda: ("body",), Apply: ("fn", "arg"),
+    Sigma: ("first", "second"), Pair: ("fst", "snd"), Fst: ("pair",),
+    Snd: ("pair",), Id: ("type", "lhs", "rhs"), Refl: ("point",),
+    J: ("motive", "base", "lhs", "rhs", "proof"), S.Annot: ("term", "type"),
+}
+
+
 def _zonk(term: Term) -> Term:
-    """Replace solved holes by their solutions."""
+    """Replace solved holes by their solutions.  A subterm without holes is
+    returned as it is, so a hole-free declaration is not copied."""
     match term:
         case Hole(line=line, col=col, solution=sol):
             if sol is None:
@@ -126,60 +139,55 @@ def _zonk(term: Term) -> Term:
             return sol
         case Var() | S.Universe() | S.Unit() | S.Star() | Constant():
             return term
-        case Pi(d, c, h):
-            return Pi(_zonk(d), _zonk(c), h)
-        case Lambda(b, h):
-            return Lambda(_zonk(b), h)
-        case Apply(f, a):
-            return Apply(_zonk(f), _zonk(a))
-        case Sigma(f, s, h):
-            return Sigma(_zonk(f), _zonk(s), h)
-        case Pair(a, b):
-            return Pair(_zonk(a), _zonk(b))
-        case Fst(p):
-            return Fst(_zonk(p))
-        case Snd(p):
-            return Snd(_zonk(p))
-        case Id(t, l, r):
-            return Id(_zonk(t), _zonk(l), _zonk(r))
-        case Refl(p):
-            return Refl(_zonk(p))
-        case J(m, b, l, r, pr, hs):
-            return J(_zonk(m), _zonk(b), _zonk(l), _zonk(r), _zonk(pr), hs)
-        case S.Annot(t, ty):
-            return S.Annot(_zonk(t), _zonk(ty))
-    raise ElabError(f"not a term: {term!r}")
+    names = _SUBTERMS.get(type(term))
+    if names is None:
+        raise ElabError(f"not a term: {term!r}")
+    old = [getattr(term, n) for n in names]
+    new = [_zonk(t) for t in old]
+    if all(a is b for a, b in zip(old, new)):
+        return term
+    return dataclasses.replace(term, **dict(zip(names, new)))
 
 
 def elaborate_and_check(surface_decls, opaque=frozenset()):
-    """Elaborate declarations one by one, checking each as we go.
+    """Elaborate and check declarations in order, stopping at the first
+    that fails.  Placeholders are solved against the expected types seen by
+    the checker, then replaced by their solutions.
 
-    Returns (core declarations, the checked GlobalScope).  Placeholders are
-    solved against the expected types seen by the checker.
+    Returns (core declarations, the checked GlobalScope, a Report with one
+    row per declaration reached, and the DeclarationError of the failing
+    declaration or None).
     """
     scope = K.GlobalScope()
-    out = []
+    core = []
+    report = Report()
     for sd in surface_decls:
-        constants = scope.entries.keys()
+        t0 = time.time()
         try:
+            constants = scope.entries.keys()
             type_t = elab_term(sd.type, [], constants)
             body_t = None if sd.body is None else elab_term(sd.body, [], constants)
-        except (ElabError, S.MalformedTermError) as exc:
-            raise K.DeclarationError(sd.name, exc) from exc
-        decl = Declaration(sd.name, type_t, body_t, opaque=sd.name in opaque)
-        entry = K.check_declaration(scope, decl)
-        try:
+            decl = Declaration(sd.name, type_t, body_t, opaque=sd.name in opaque)
+            entry = K.check_declaration(scope, decl)
             decl = Declaration(
                 sd.name, _zonk(type_t), None if body_t is None else _zonk(body_t),
                 opaque=decl.opaque,
             )
-        except (ElabError, K.KernelError) as exc:
-            raise K.DeclarationError(sd.name, exc) from exc
+        except (ElabError, K.KernelError, S.MalformedTermError) as exc:
+            if not isinstance(exc, K.DeclarationError):
+                exc = K.DeclarationError(sd.name, exc)
+            report.add_error(sd.name, str(exc.cause), time.time() - t0)
+            return core, scope, report, exc
         scope.add(sd.name, entry)
-        out.append(decl)
-    return out, scope
+        core.append(decl)
+        report.add_ok(sd.name, time.time() - t0)
+    return core, scope, report, None
 
 
 def elaborate(surface_decls, opaque=frozenset()):
-    """Surface declarations to core declarations; every output validates."""
-    return elaborate_and_check(surface_decls, opaque)[0]
+    """Surface declarations to core declarations; every output validates.
+    Raises the DeclarationError of the first declaration that fails."""
+    core, _, _, failure = elaborate_and_check(surface_decls, opaque)
+    if failure is not None:
+        raise failure
+    return core

@@ -3,7 +3,7 @@
 A cubical set assigns a finite set of cells to each dimension context and a
 substitution action to each cube map; the action direction follows the
 substitution: a map with source I and target J assigns to every I-symbol a
-De Morgan expression over J, and carries I-cells to J-cells.
+De Morgan element over J, and carries I-cells to J-cells.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .interval import (
     DM, Face, ModelError, ctx_sorted, dm_all, dm_basic, dm_const, dm_join,
-    dm_meet, dm_neg, dm_subst, dm_sym, face_weaken,
+    dm_meet, dm_neg, dm_subst, dm_sym,
 )
 
 CANONICAL_DIMS = ("i", "j", "k")
@@ -77,8 +77,7 @@ class CubeMap:
 
     def is_identity(self) -> bool:
         return self.src == self.dst and all(
-            e.expr == ("sym", n) or e.table == dm_sym(self.dst, n).table
-            for n, e in self.assign)
+            e == dm_sym(self.dst, n) for n, e in self.assign)
 
 
 from functools import lru_cache
@@ -361,24 +360,6 @@ class IntervalFamily(Family):
 
     def restrict(self, context, rho, f, a):
         return f.apply_dm(a)
-
-
-class SliceFamily(Family):
-    """Over a discrete base: an independent family per base label."""
-
-    def __init__(self, base, slices: dict, name="slices"):
-        super().__init__(base)
-        self.slices = slices  # label -> Family over the point-like base
-        self.name = name
-
-    def fiber(self, context, rho):
-        return self.slices[rho].fiber(context, rho)
-
-    def contains(self, context, rho, a):
-        return self.slices[rho].contains(context, rho, a)
-
-    def restrict(self, context, rho, f, a):
-        return self.slices[rho].restrict(context, rho, f, a)
 
 
 class SigmaFamily(Family):

@@ -1,26 +1,32 @@
 """Free De Morgan algebra on dimension symbols, and the face lattice.
 
-Equality of De Morgan expressions is decided by evaluating under every
-valuation of the generators into the four-element De Morgan algebra DM4;
-every De Morgan algebra embeds into a power of DM4, so agreement of the
-valuation tables is sound and complete.  The table doubles as a canonical
-representative, giving O(1) equality and hashing.
+An element of the free De Morgan algebra is its valuation table: its value
+in the four-element De Morgan algebra DM4 under every valuation of the
+sorted generators.  Every De Morgan algebra embeds into a power of DM4, so
+tables decide equality and order, and the table is the canonical form that
+gives O(1) equality and hashing.  Because DM4 evaluation is a homomorphism,
+substitution is a lookup: the substituted element's value at a valuation is
+the original's value at the valuation the assigned elements take there.
 
 Face formulas (cofibrant propositions) are decided the same way over
 three-valued valuations {0, 1, generic}: the face lattice is the free
 distributive lattice on the literals (i=0), (i=1) modulo their meet being
-absurd, and those valuations are exactly its prime filters.
+absurd, and those valuations are exactly its prime filters.  The equation
+(r = e) holds at such a valuation iff r is the constant e under every DM4
+completion of the generic dimensions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_DIM = 2
 
 # DM4 carrier: BOT=0, TOP=3 and two fixed points 1, 2 of the involution.
+# A table over n generators lists values in itertools.product order, so the
+# valuation (v_1, ..., v_n) sits at index sum(v_k * 4 ** (n - k)).
 _DM4 = (0, 1, 2, 3)
 _NEG = {0: 3, 1: 1, 2: 2, 3: 0}
 
@@ -60,35 +66,28 @@ def _valuations(names: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class DM:
-    """An element of the free De Morgan algebra over `ctx`.
-
-    `table` lists the DM4 value under every valuation of the sorted
-    generators; `expr` keeps the construction tree for substitution and for
-    translating endpoint equations into face formulas.
-    """
+    """An element of the free De Morgan algebra over `ctx`, given by its
+    valuation table: the DM4 value under every valuation of the sorted
+    generators."""
 
     ctx: frozenset
     table: tuple
-    expr: object = field(compare=False)
 
     def __repr__(self):
         return f"DM({dm_show(self)})"
 
 
-def _tabulate(context: frozenset, fn) -> tuple:
-    names = ctx_sorted(context)
-    return tuple(fn(dict(zip(names, vs))) for vs in _valuations(names))
-
-
 def dm_const(context: frozenset, endpoint: int) -> DM:
     value = 0 if endpoint == 0 else 3
-    return DM(context, _tabulate(context, lambda env: value), ("const", endpoint))
+    return DM(context, (value,) * 4 ** len(context))
 
 
 def dm_sym(context: frozenset, name: str) -> DM:
     if name not in context:
         raise ContextMismatchError(f"{name} not in context {sorted(context)}")
-    return DM(context, _tabulate(context, lambda env: env[name]), ("sym", name))
+    names = ctx_sorted(context)
+    i = names.index(name)
+    return DM(context, tuple(vs[i] for vs in _valuations(names)))
 
 
 def _same_ctx(x: DM, y: DM):
@@ -97,19 +96,17 @@ def _same_ctx(x: DM, y: DM):
 
 
 def dm_neg(x: DM) -> DM:
-    return DM(x.ctx, tuple(_NEG[v] for v in x.table), ("neg", x.expr))
+    return DM(x.ctx, tuple(_NEG[v] for v in x.table))
 
 
 def dm_meet(x: DM, y: DM) -> DM:
     _same_ctx(x, y)
-    return DM(x.ctx, tuple(_meet(u, v) for u, v in zip(x.table, y.table)),
-              ("meet", x.expr, y.expr))
+    return DM(x.ctx, tuple(_meet(u, v) for u, v in zip(x.table, y.table)))
 
 
 def dm_join(x: DM, y: DM) -> DM:
     _same_ctx(x, y)
-    return DM(x.ctx, tuple(_join(u, v) for u, v in zip(x.table, y.table)),
-              ("join", x.expr, y.expr))
+    return DM(x.ctx, tuple(_join(u, v) for u, v in zip(x.table, y.table)))
 
 
 def dm_eq(x: DM, y: DM) -> bool:
@@ -123,40 +120,52 @@ def dm_is_const(x: DM, endpoint: int) -> bool:
     return all(v == value for v in x.table)
 
 
-def _eval_expr(expr, env: dict, target: frozenset) -> DM:
-    match expr:
-        case ("const", e):
-            return dm_const(target, e)
-        case ("sym", name):
-            return env[name]
-        case ("neg", inner):
-            return dm_neg(_eval_expr(inner, env, target))
-        case ("meet", a, b):
-            return dm_meet(_eval_expr(a, env, target), _eval_expr(b, env, target))
-        case ("join", a, b):
-            return dm_join(_eval_expr(a, env, target), _eval_expr(b, env, target))
-    raise ModelError(f"bad expression {expr!r}")
-
-
 def dm_subst(x: DM, assign: dict, target: frozenset) -> DM:
     """Substitute `assign` (symbol -> DM over target) through x."""
-    return _eval_expr(x.expr, assign, target)
+    index = [0] * 4 ** len(target)
+    for name in ctx_sorted(x.ctx):
+        e = assign[name]
+        if e.ctx != target:
+            raise ContextMismatchError(f"{name} assigned over {sorted(e.ctx)}, "
+                                       f"not {sorted(target)}")
+        index = [4 * k + v for k, v in zip(index, e.table)]
+    return DM(target, tuple(x.table[k] for k in index))
+
+
+@lru_cache(maxsize=None)
+def _literal_meets(context: frozenset) -> tuple:
+    """Every meet of literals over `context`, fewest literals first, as
+    (set of literals, printed meet, table)."""
+    literals = []
+    for n in ctx_sorted(context):
+        literals += [(n, dm_sym(context, n)), (f"~{n}", dm_neg(dm_sym(context, n)))]
+    out = []
+    for size in range(len(literals) + 1):
+        for combo in itertools.combinations(literals, size):
+            m = dm_const(context, 1)
+            for _, lit in combo:
+                m = dm_meet(m, lit)
+            text = [t for t, _ in combo]
+            out.append((frozenset(text), _infix(text, "/\\", "1"), m.table))
+    return tuple(out)
 
 
 def dm_show(x: DM) -> str:
-    def go(expr):
-        match expr:
-            case ("const", e):
-                return str(e)
-            case ("sym", n):
-                return n
-            case ("neg", i):
-                return f"~{go(i)}"
-            case ("meet", a, b):
-                return f"({go(a)} /\\ {go(b)})"
-            case ("join", a, b):
-                return f"({go(a)} \\/ {go(b)})"
-    return go(x.expr)
+    """The antichain normal form of x: the join of the minimal meets of
+    literals below it."""
+    found = []
+    for lits, text, table in _literal_meets(x.ctx):
+        if any(f <= lits for f, _ in found):
+            continue
+        if all(_meet(u, v) == u for u, v in zip(table, x.table)):
+            found.append((lits, text))
+    return _infix([text for _, text in found], "\\/", "0")
+
+
+def _infix(parts: list, op: str, unit: str) -> str:
+    if not parts:
+        return unit
+    return parts[0] if len(parts) == 1 else "(" + f" {op} ".join(parts) + ")"
 
 
 @lru_cache(maxsize=None)
@@ -309,30 +318,28 @@ def face_forall(a: Face, name: str) -> Face:
     return Face(rest, frozenset(sat))
 
 
-def face_of_eq(r: DM, endpoint: int) -> Face:
-    """The face formula (r = endpoint), by the usual recursion on r."""
-    def go(expr, e):
-        match expr:
-            case ("const", c):
-                return face_top(r.ctx) if c == e else face_bot(r.ctx)
-            case ("sym", n):
-                return face_eq_sym(r.ctx, n, e)
-            case ("neg", inner):
-                return go(inner, 1 - e)
-            case ("meet", a, b):
-                if e == 1:
-                    return face_and(go(a, 1), go(b, 1))
-                return face_or(go(a, 0), go(b, 0))
-            case ("join", a, b):
-                if e == 1:
-                    return face_or(go(a, 1), go(b, 1))
-                return face_and(go(a, 0), go(b, 0))
-        raise ModelError(f"bad expression {expr!r}")
+@lru_cache(maxsize=None)
+def _completions(names: tuple) -> tuple:
+    """Each {0, 1, generic} valuation over `names`, with the table indices
+    of its DM4 completions."""
+    choices = {0: (0,), 1: (3,), GEN: _DM4}
+    out = []
+    for v in _face_valuations(names):
+        indices = [0]
+        for c in v:
+            indices = [4 * k + d for k in indices for d in choices[c]]
+        out.append((v, indices))
+    return tuple(out)
 
-    # constants-by-table get the sharp answer regardless of the tree shape
-    if dm_is_const(r, endpoint):
-        return face_top(r.ctx)
-    return go(r.expr, endpoint)
+
+@lru_cache(maxsize=None)
+def face_of_eq(r: DM, endpoint: int) -> Face:
+    """The face formula (r = endpoint): the valuations at which r is the
+    constant endpoint under every completion.  Cached by r's table."""
+    value = 0 if endpoint == 0 else 3
+    sat = frozenset(v for v, indices in _completions(ctx_sorted(r.ctx))
+                    if all(r.table[k] == value for k in indices))
+    return Face(r.ctx, sat)
 
 
 def face_weaken(a: Face, target: frozenset) -> Face:
@@ -364,15 +371,3 @@ def face_subst_clause(a: Face, clause: frozenset) -> Face:
         if w in a.sat:
             sat.append(v)
     return Face(rest, frozenset(sat))
-
-
-def face_subst_map(a: Face, assign: dict, target: frozenset) -> Face:
-    """Substitute a full assignment (symbol -> DM over target) through a,
-    clause by clause."""
-    out = face_bot(target)
-    for clause in a.clauses():
-        part = face_top(target)
-        for name, endpoint in clause:
-            part = face_and(part, face_of_eq(assign[name], endpoint))
-        out = face_or(out, part)
-    return out

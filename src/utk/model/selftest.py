@@ -672,14 +672,6 @@ def check_cofibration_closure(report: Report, max_dim: int):
     _run_check(report, "cofibration-closure", run)
 
 
-def check_axioms_report(fixtures=None, max_dim: int = 2) -> Report:
-    """Run only the semantic axiom checks (1)-(5) over a fixture set."""
-    report = Report()
-    check_axioms(report, fixtures if fixtures is not None else FX.builtin_fixtures(),
-                 max_dim)
-    return report
-
-
 def run(max_dim: int = 2, fixtures_path=None) -> Report:
     report = Report()
     if not (2 <= max_dim <= 3):

@@ -1,6 +1,11 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import utk
 from utk import cli
 from utk import corpuscheck as C
 
@@ -50,6 +55,25 @@ def test_normalize_coerce_refl(capsys):
     code, out, _ = run_cli(capsys, "normalize", str(prelude), "--def", "coerce_refl")
     assert code == 0
     assert out.strip() == "\\A x -> x"
+
+
+def test_normalize_fills_placeholders(tmp_path, capsys):
+    f = tmp_path / "hole.tt"
+    f.write_text("def f : 1 -> 1 := \\x -> _\n")
+    code, out, _ = run_cli(capsys, "normalize", str(f), "--def", "f")
+    assert code == 0
+    assert out.strip() == "\\x -> *"
+
+
+def test_python_dash_m_utk(tmp_path):
+    f = tmp_path / "bad.tt"
+    f.write_text("def bad : U0 := U0\n")
+    src = str(Path(utk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "utk", "check", str(f)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert "FAIL  bad" in done.stdout
 
 
 def test_corpus_passes(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -208,3 +209,96 @@ def test_face_subst_clause():
     assert g.is_top
     h = face_subst_clause(f, frozenset({("i", 1)}))
     assert h.sat == face_eq_sym(ctx("j"), "j", 1).sat
+
+
+# ---------------------------------------------------------------------------
+# The table algebra against the expression-tree semantics it replaces.  A
+# tree is ("const", e), ("sym", n), ("neg", t), ("meet", a, b) or
+# ("join", a, b); the references below work on trees and share no code with
+# the tables beyond the constructors.
+
+def random_tree(rng, names, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.2 or not names:
+            return ("const", rng.randint(0, 1))
+        return ("sym", rng.choice(names))
+    op = rng.choice(("neg", "meet", "join"))
+    if op == "neg":
+        return ("neg", random_tree(rng, names, depth - 1))
+    return (op, random_tree(rng, names, depth - 1), random_tree(rng, names, depth - 1))
+
+
+def tree_dm(tree, context):
+    match tree:
+        case ("const", e):
+            return dm_const(context, e)
+        case ("sym", n):
+            return dm_sym(context, n)
+        case ("neg", t):
+            return dm_neg(tree_dm(t, context))
+        case ("meet", a, b):
+            return dm_meet(tree_dm(a, context), tree_dm(b, context))
+        case ("join", a, b):
+            return dm_join(tree_dm(a, context), tree_dm(b, context))
+
+
+def tree_face(tree, e, context):
+    """The textbook clause recursion for the face formula (tree = e)."""
+    match tree:
+        case ("const", c):
+            return face_top(context) if c == e else face_bot(context)
+        case ("sym", n):
+            return face_eq_sym(context, n, e)
+        case ("neg", t):
+            return tree_face(t, 1 - e, context)
+        case (op, a, b):
+            both = face_and if (op == "meet") == (e == 1) else face_or
+            return both(tree_face(a, e, context), tree_face(b, e, context))
+
+
+def tree_subst(tree, assign):
+    match tree:
+        case ("const", _):
+            return tree
+        case ("sym", n):
+            return assign[n]
+        case ("neg", t):
+            return ("neg", tree_subst(t, assign))
+        case (op, a, b):
+            return (op, tree_subst(a, assign), tree_subst(b, assign))
+
+
+CONTEXTS = [ctx(*"ijk"[:n]) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("context", CONTEXTS, ids=len)
+def test_face_of_eq_matches_clause_recursion(context):
+    rng = random.Random(len(context))
+    names = sorted(context)
+    for _ in range(300):
+        tree = random_tree(rng, names, 4)
+        for e in (0, 1):
+            assert face_of_eq(tree_dm(tree, context), e) == tree_face(tree, e, context), tree
+
+
+@pytest.mark.parametrize("context", CONTEXTS, ids=len)
+def test_dm_subst_matches_tree_substitution(context):
+    rng = random.Random(10 + len(context))
+    for _ in range(300):
+        target = ctx(*rng.sample("ijkl", rng.randint(0, 3)))
+        tree = random_tree(rng, sorted(context), 4)
+        assign = {n: random_tree(rng, sorted(target), 2) for n in context}
+        got = dm_subst(tree_dm(tree, context),
+                       {n: tree_dm(t, target) for n, t in assign.items()}, target)
+        assert got == tree_dm(tree_subst(tree, assign), target), (tree, assign)
+
+
+def test_dm_show_is_the_normal_form():
+    assert len({IV.dm_show(x) for x in dm_all(IJ)}) == len(dm_all(IJ))
+    i, j = dm_sym(IJ, "i"), dm_sym(IJ, "j")
+    assert IV.dm_show(dm_meet(i, dm_neg(j))) == "(i /\\ ~j)"
+    assert IV.dm_show(dm_const(IJ, 0)) == "0"
+    assert IV.dm_show(dm_const(IJ, 1)) == "1"
+    assert IV.dm_show(dm_join(i, dm_meet(i, j))) == "i"
+    assert IV.dm_show(dm_neg(dm_meet(i, j))) == "(~i \\/ ~j)"
+    assert repr(dm_join(dm_meet(i, dm_neg(i)), j)) == "DM((j \\/ (i /\\ ~i)))"

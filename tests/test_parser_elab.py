@@ -83,7 +83,7 @@ def test_j_motive_stripping():
         "def tr : (A : U0) -> (P : A -> U0) -> (x : A) -> (y : A) -> Id A x y -> P x -> P y\n"
         "  := \\A P x y p -> J (\\u v q -> P u -> P v) (\\u px -> px) x y p"
     )
-    decls, scope = E.elaborate_and_check(P.parse_program(src))
+    decls, scope, _, _ = E.elaborate_and_check(P.parse_program(src))
     body = decls[0].body
     j = body
     while isinstance(j, Lambda):
@@ -123,7 +123,7 @@ def test_pretty_print_rejects_ill_scoped_terms():
 def test_normal_forms_stay_well_scoped():
     # validate is preserved through evaluation and readback
     src = "def twice : (A : U0) -> (A -> A) -> A -> A := \\A f a -> f (f a)"
-    decls, scope = E.elaborate_and_check(P.parse_program(src))
+    decls, scope, _, _ = E.elaborate_and_check(P.parse_program(src))
     d = decls[0]
     nf = K.normalize(scope, [], S.Annot(d.body, d.type))
     assert S.validate(nf, 0)
@@ -135,7 +135,7 @@ def test_elaborate_outputs_validate():
         "postulate X : U0\n"
         "def cx : X -> X -> X := const X X\n"
     )
-    decls, scope = E.elaborate_and_check(P.parse_program(src))
+    decls, scope, _, _ = E.elaborate_and_check(P.parse_program(src))
     for d in decls:
         assert S.validate(d.type, 0)
         if d.body is not None:
