@@ -21,6 +21,7 @@ from . import elab as E
 from . import kernel as K
 from . import parser as P
 from . import syntax as S
+from .report import dump_json
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -51,14 +52,17 @@ def cmd_normalize(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if not report.ok:
-        print(report.summary(), file=sys.stderr)
+        if args.json:
+            print(report.to_json())
+        else:
+            print(report.summary(), file=sys.stderr)
         return CHECK_ERROR
     target = next((d for d in core if d.name == args.definition), None)
     if target is None or target.body is None:
         print(f"error: no definition named {args.definition}", file=sys.stderr)
         return USAGE_ERROR
-    nf = K.normalize(scope, [], S.Annot(target.body, target.type))
-    print(S.pretty_print(nf, []))
+    nf = S.pretty_print(K.normalize(scope, [], S.Annot(target.body, target.type)), [])
+    print(dump_json({**report.to_dict(), "normal_form": nf}) if args.json else nf)
     return 0
 
 

@@ -8,20 +8,21 @@ exhaustively on the fixture library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .interval import (
-    ModelError, dm_const, dm_is_const, dm_sym, face_forall, face_of_eq,
-    face_or, face_top,
+    ModelError, dm_is_const, dm_sym, face_and, face_bot, face_eq_sym,
+    face_forall, face_of_eq, face_or, face_subst_clause, face_top,
 )
 from .cset import (
     CSetMap, Cofibration, CubeMap, CubicalSet, Family, ProductIntervalCSet,
-    RestrictedCSet, cof_endpoints, extend_clause_map, fst_map, pairing_map,
+    ReindexedFamily, RestrictedCSet, cof_endpoints, fst_map, pairing_map,
 )
 from .fib import (
-    CompositionError, Fib, Partial, Problem, clause_path, clause_stage,
-    comp_unit, fill, partial_at, path_at, _fresh_dim,
+    CompositionError, Fib, Problem, clause_path, clause_stage, comp_unit,
+    fill, fill_path, partial_at, path_at, restrict_problem, _fresh_dim,
 )
 
 
@@ -78,15 +79,10 @@ class ExtStruct:
 def reindex_fib(fib: Fib, gamma: CSetMap, name: str = None) -> Fib:
     """Pull a fibration back along a map of bases; composition pushes the
     problem's path forward."""
-    from .cset import ReindexedFamily
-
     family = ReindexedFamily(fib.family, gamma)
 
     def comp(problem: Problem):
-        pushed = Problem(problem.I, problem.z, problem.e,
-                         gamma.apply(problem.zctx, problem.path),
-                         problem.phi, problem.partial, problem.a0)
-        return fib.comp(pushed)
+        return fib.comp(replace(problem, path=gamma.apply(problem.zctx, problem.path)))
 
     return Fib(family, comp, name=name or f"{fib.name}[{gamma.name}]")
 
@@ -96,21 +92,6 @@ def endpoint_reindex(path_fib: Fib, base: CubicalSet, endpoint: int) -> Fib:
     product = path_fib.base
     return reindex_fib(path_fib, pairing_map(base, product, endpoint),
                        name=f"{path_fib.name}@{endpoint}")
-
-
-def fill_path(fib: Fib, problem: Problem):
-    """The filler as a path element over the problem's own direction."""
-    w = _fresh_dim(problem.zctx)
-    q = fill(fib, problem, w)
-    I, z = problem.I, problem.z
-    wctx = I | {w}
-    to_w = CubeMap.make(problem.zctx, wctx,
-                        {**{n: dm_sym(wctx, n) for n in I}, z: dm_sym(wctx, w)})
-    path_w = fib.base.restrict(problem.zctx, to_w, problem.path)
-    rename = CubeMap.make(wctx, problem.zctx,
-                          {**{n: dm_sym(problem.zctx, n) for n in I},
-                           w: dm_sym(problem.zctx, z)})
-    return fib.family.restrict(wctx, path_w, rename, q)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +110,6 @@ def realign(cof: Cofibration, beta: Fib, alpha: Fib, name: str = None) -> Fib:
 
     def face_of_clause(I, clause):
         f = face_top(I)
-        from .interval import face_and, face_eq_sym
         for nm, e in clause:
             f = face_and(f, face_eq_sym(I, nm, e))
         return f
@@ -139,16 +119,13 @@ def realign(cof: Cofibration, beta: Fib, alpha: Fib, name: str = None) -> Fib:
         allf = face_forall(phi_p, problem.z)
         phi2 = face_or(problem.phi, allf)
         values = {}
-        from .fib import restrict_problem
         for clause in phi2.clauses():
             if face_of_clause(problem.I, clause).entails(allf):
                 restricted = restrict_problem(family, base, problem, clause)
                 values[clause] = fill_path(beta, restricted)
             else:
                 values[clause] = partial_at(family, base, problem, clause)
-        newp = Problem(problem.I, problem.z, problem.e, problem.path,
-                       phi2, Partial(phi2, values), problem.a0)
-        return alpha.comp(newp)
+        return alpha.comp(replace(problem, phi=phi2, values=values))
 
     return Fib(family, comp, name=name or f"realign({alpha.name})")
 
@@ -165,13 +142,11 @@ def isofib(iso: StrictIso, beta: Fib, name: str = None) -> Fib:
 
     def comp(problem: Problem):
         values = {}
-        for clause, v in problem.partial.values.items():
+        for clause, v in problem.values.items():
             stage = clause_stage(problem.I, clause) | {problem.z}
             values[clause] = iso.fwd(stage, clause_path(base, problem, clause), v)
         b0 = iso.fwd(problem.I, path_at(base, problem, problem.e), problem.a0)
-        bprob = Problem(problem.I, problem.z, problem.e, problem.path,
-                        problem.phi, Partial(problem.phi, values), b0)
-        b1 = beta.comp(bprob)
+        b1 = beta.comp(replace(problem, values=values, a0=b0))
         return iso.bwd(problem.I, path_at(base, problem, 1 - problem.e), b1)
 
     return Fib(family, comp, name=name or f"isofib({beta.name})")
@@ -250,36 +225,33 @@ def strictify_fib(cof: Cofibration, partial: Fib, total: Fib, iso: StrictIso,
 # The join of two fibrations over the endpoints of base*I
 
 
+def _side(rho) -> int:
+    """The endpoint at which a veebar cell (x, r) sits."""
+    _, r = rho
+    if dm_is_const(r, 0):
+        return 0
+    if dm_is_const(r, 1):
+        return 1
+    raise CompositionError("veebar cell is not at an endpoint")
+
+
 class VeebarFamily(Family):
     """Over (base*I) restricted to (i=0) \\/ (i=1): A's fibers on the 0 end,
     B's on the 1 end."""
 
-    def __init__(self, A: Family, B: Family, product: ProductIntervalCSet,
-                 restricted: RestrictedCSet):
+    def __init__(self, A: Family, B: Family, restricted: RestrictedCSet):
         super().__init__(restricted)
-        self.A = A
-        self.B = B
-        self.product = product
+        self.sides = (A, B)
         self.name = f"({A.name} v {B.name})"
 
-    def _side(self, r):
-        if dm_is_const(r, 0):
-            return 0
-        if dm_is_const(r, 1):
-            return 1
-        raise ModelError("veebar cell is not at an endpoint")
-
     def fiber(self, context, rho):
-        x, r = rho
-        return (self.A if self._side(r) == 0 else self.B).fiber(context, x)
+        return self.sides[_side(rho)].fiber(context, rho[0])
 
     def contains(self, context, rho, a):
-        x, r = rho
-        return (self.A if self._side(r) == 0 else self.B).contains(context, x, a)
+        return self.sides[_side(rho)].contains(context, rho[0], a)
 
     def restrict(self, context, rho, f, a):
-        x, r = rho
-        return (self.A if self._side(r) == 0 else self.B).restrict(context, x, f, a)
+        return self.sides[_side(rho)].restrict(context, rho[0], f, a)
 
 
 def veebar(A: Fib, B: Fib, iso0: Optional[StrictIso] = None,
@@ -288,42 +260,22 @@ def veebar(A: Fib, B: Fib, iso0: Optional[StrictIso] = None,
     at 1; a problem's path is forced to one side because the interval is
     connected.  When endpoint isomorphisms into a line over base*I are
     supplied, they join to an isomorphism on the restriction."""
-    base = A.base
-    product = ProductIntervalCSet(base)
-    cof = cof_endpoints()
-    restricted = RestrictedCSet(product, cof)
-    family = VeebarFamily(A.family, B.family, product, restricted)
+    restricted = RestrictedCSet(ProductIntervalCSet(A.base), cof_endpoints())
+    family = VeebarFamily(A.family, B.family, restricted)
 
     def comp(problem: Problem):
-        x_path, r = problem.path
-        if dm_is_const(r, 0):
-            side = A
-        elif dm_is_const(r, 1):
-            side = B
-        else:
-            raise CompositionError("veebar path does not factor through an endpoint")
-        inner = Problem(problem.I, problem.z, problem.e, x_path,
-                        problem.phi, problem.partial, problem.a0)
-        return side.comp(inner)
+        side = (A, B)[_side(problem.path)]
+        return side.comp(replace(problem, path=problem.path[0]))
 
     vee = Fib(family, comp, name=f"({A.name} v {B.name})")
     if iso0 is None:
         return vee, None
-
-    def fwd(I, rho, a):
-        x, r = rho
-        if dm_is_const(r, 0):
-            return iso0.fwd(I, x, a)
-        return iso1.fwd(I, x, a)
-
-    def bwd(I, rho, b):
-        x, r = rho
-        if dm_is_const(r, 0):
-            return iso0.bwd(I, x, b)
-        return iso1.bwd(I, x, b)
-
+    isos = (iso0, iso1)
     target = line.family if line is not None else None
-    return vee, StrictIso(family, target, fwd, bwd, name="iso0 v iso1")
+    return vee, StrictIso(
+        family, target,
+        lambda I, rho, a: isos[_side(rho)].fwd(I, rho[0], a),
+        lambda I, rho, b: isos[_side(rho)].bwd(I, rho[0], b), name="iso0 v iso1")
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +304,11 @@ def isopath(iso: StrictIso, A: Fib, B: Fib) -> FibPath:
 def coerce_along(P: FibPath, I: frozenset, x, a, z: str = "z"):
     """Transport along a path of fibrations: the empty composition from 0
     to 1 over the path (x, z)."""
-    from .interval import face_bot
-
     product = P.line.base  # base*I
     zctx = I | {z}
     x_w = product.base.restrict(I, CubeMap.weaken(I, zctx), x)
     path = (x_w, dm_sym(zctx, z))
-    problem = Problem(I, z, 0, path, face_bot(I), Partial.empty(I), a)
+    problem = Problem(I, z, 0, path, face_bot(I), {}, a)
     return P.line.comp(problem)
 
 
@@ -366,12 +316,9 @@ def coerce_iso_witness(iso: StrictIso, B: Fib, I: frozenset, x, a, w: str = "w")
     """A path value whose 0 end is iso.fwd applied to a and whose 1 end is
     the coercion along isopath(iso): the degenerate fill of the empty
     problem at iso.fwd(a)."""
-    from .interval import face_bot
-
     zctx = I | {"z"}
     x_w = B.base.restrict(I, CubeMap.weaken(I, zctx), x)
-    problem = Problem(I, "z", 0, x_w, face_bot(I), Partial.empty(I),
-                      iso.fwd(I, x, a))
+    problem = Problem(I, "z", 0, x_w, face_bot(I), {}, iso.fwd(I, x, a))
     return fill(B, problem, w)
 
 
@@ -401,7 +348,6 @@ class ContractionFamily(Family):
             xr = self.base.base.restrict(context, g, x)
             choices.append([(clause, v) for v in self.A.fiber(stage, xr)])
         out = []
-        import itertools
         for combo in itertools.product(*choices):
             if self._compatible(context, x, dict(combo)):
                 out.append(frozenset(combo))
@@ -485,8 +431,6 @@ def contraction_fib(A: Fib, ext: ExtStruct) -> Fib:
     family = ContractionFamily(A.family, product)
 
     def comp(problem: Problem):
-        from .interval import face_subst_clause
-
         x_path, r_path = problem.path
         end = 1 - problem.e
         end_map = problem.end_map(end)
@@ -531,8 +475,7 @@ def extend_from_contractible(A: Fib, contr: ContrStruct) -> ExtStruct:
             stage = clause_stage(I, clause)
             xr = base.restrict(I, CubeMap.face(I, clause), x)
             path_values[clause] = contr.path(stage, xr, v, z)
-        problem = Problem(I, z, 0, x_w, phi, Partial(phi, path_values),
-                          contr.centre(I, x))
+        problem = Problem(I, z, 0, x_w, phi, path_values, contr.centre(I, x))
         return A.comp(problem)
 
     return ExtStruct(extend)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .interval import (
     DM, Face, ModelError, ctx_sorted, dm_all, dm_basic, dm_const, dm_join,
-    dm_meet, dm_neg, dm_subst, dm_sym,
+    dm_meet, dm_neg, dm_subst, dm_sym, face_bot, face_of_eq, face_or, face_top,
 )
 
 CANONICAL_DIMS = ("i", "j", "k")
@@ -80,9 +81,6 @@ class CubeMap:
             e == dm_sym(self.dst, n) for n, e in self.assign)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def _compose(f: CubeMap, g: CubeMap) -> CubeMap:
     mapping = {n: dm_subst(e, g.assignment, g.dst) for n, e in f.assign}
@@ -103,6 +101,12 @@ def extend_clause_map(f: CubeMap, extra: str) -> CubeMap:
                for n, e in f.assign}
     mapping[extra] = dm_sym(dst, extra)
     return CubeMap.make(src, dst, mapping)
+
+
+def sample_dm(context: frozenset) -> tuple:
+    """The interval elements problem enumeration visits: the whole algebra
+    up to one symbol, the basic elements beyond."""
+    return dm_all(context) if len(context) <= 1 else dm_basic(context)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +166,7 @@ class IntervalCSet(CubicalSet):
         return list(dm_all(context))
 
     def sample_cells(self, context):
-        if len(context) <= 1:
-            return list(dm_all(context))
-        return list(dm_basic(context))
+        return list(sample_dm(context))
 
     def restrict(self, context, f, x):
         return f.apply_dm(x)
@@ -181,8 +183,8 @@ class ProductIntervalCSet(CubicalSet):
         return [(x, r) for x in self.base.cells(context) for r in dm_all(context)]
 
     def sample_cells(self, context):
-        rs = dm_all(context) if len(context) <= 1 else dm_basic(context)
-        return [(x, r) for x in self.base.sample_cells(context) for r in rs]
+        return [(x, r) for x in self.base.sample_cells(context)
+                for r in sample_dm(context)]
 
     def restrict(self, context, f, x):
         b, r = x
@@ -268,19 +270,16 @@ class Cofibration:
 
 
 def cof_false():
-    from .interval import face_bot
     return Cofibration(lambda c, x: face_bot(c), "bot")
 
 
 def cof_true():
-    from .interval import face_top
     return Cofibration(lambda c, x: face_top(c), "top")
 
 
 def cof_endpoints():
     """Over a product-with-interval base: (i = 0) or (i = 1) on the interval
     coordinate."""
-    from .interval import face_of_eq, face_or
 
     def fn(context, cell):
         _, r = cell
@@ -291,8 +290,6 @@ def cof_endpoints():
 
 def cof_interval_eq(endpoint: int):
     """Over the interval base: (x = endpoint) on the cell itself."""
-    from .interval import face_of_eq
-
     return Cofibration(lambda c, x: face_of_eq(x, endpoint), f"(i={endpoint})")
 
 
@@ -311,6 +308,11 @@ class Family:
 
     def contains(self, context: frozenset, rho, a) -> bool:
         return a in self.fiber(context, rho)
+
+    def sample_fiber(self, context: frozenset, rho) -> list:
+        """Elements used when enumerating composition problems; families
+        with large fibers override this with a representative part."""
+        return self.fiber(context, rho)
 
     def restrict(self, context: frozenset, rho, f: CubeMap, a):
         """Carry a in the fiber over (context, rho) to the fiber over
@@ -345,8 +347,8 @@ class UnitFamily(Family):
 
 class IntervalFamily(Family):
     """Fiberwise copy of the interval: A(I, rho) = dm(I).  Beyond two
-    dimensions the fiber listing samples the basic elements; membership stays
-    exact."""
+    dimensions the fiber listing samples the basic elements, and problem
+    enumeration samples them beyond one; membership stays exact."""
 
     name = "interval-fiber"
 
@@ -354,6 +356,9 @@ class IntervalFamily(Family):
         if len(context) > 2:
             return list(dm_basic(context))
         return list(dm_all(context))
+
+    def sample_fiber(self, context, rho):
+        return list(sample_dm(context))
 
     def contains(self, context, rho, a):
         return isinstance(a, DM) and a.ctx == context

@@ -2,18 +2,19 @@
 
 A composition problem for a family A over Gamma, at a stage I with a fresh
 direction z, carries a path p into Gamma (a cell over I+z), a face formula
-phi over I, a partial path defined on the canonical clauses of phi, and a
-starting element at the end e.  A composition structure solves every problem,
+phi over I, a partial path `values` mapping each canonical clause c of phi
+to an element over (I - dims c) + z at the restricted path, and a starting
+element at the end e.  A composition structure solves every problem,
 landing at the other end and agreeing with the partial path there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .interval import (
     Face, ModelError, dm_const, dm_join, dm_meet, dm_neg, dm_subst, dm_sym,
-    face_bot, face_of_eq, face_or, face_subst_clause, face_weaken,
+    face_of_eq, face_or, face_subst_clause, face_weaken,
 )
 from .cset import (
     CubeMap, CubicalSet, Family, SigmaFamily, TotalCSet, UnitFamily,
@@ -30,29 +31,13 @@ def clause_stage(I: frozenset, clause: frozenset) -> frozenset:
 
 
 @dataclass
-class Partial:
-    """A partial path over the clauses of `phi`: for each canonical clause c,
-    an element of the family over (I - dims c) + z at the restricted path."""
-
-    phi: Face
-    values: dict  # clause -> element
-
-    @staticmethod
-    def empty(I: frozenset) -> "Partial":
-        return Partial(face_bot(I), {})
-
-    def clauses(self):
-        return self.phi.clauses()
-
-
-@dataclass
 class Problem:
     I: frozenset
     z: str
     e: int
     path: object  # cell of the base over I + {z}
     phi: Face  # over I
-    partial: Partial
+    values: dict  # canonical clause of phi -> element over its stage + {z}
     a0: object  # element over (I, path at z:=e)
 
     @property
@@ -90,7 +75,7 @@ def partial_at(family: Family, base: CubicalSet, problem: Problem,
                clause: frozenset):
     """Value of the partial path at any clause entailing phi, resolved
     through a canonical clause it extends."""
-    for c, value in problem.partial.values.items():
+    for c, value in problem.values.items():
         if c <= clause:
             extra = frozenset(clause - c)
             if not extra:
@@ -121,7 +106,7 @@ def check_boundary(fib: Fib, problem: Problem, result) -> list:
     end = path_at(base, problem, far)
     if not fib.family.contains(problem.I, end, result):
         violations.append(("fiber", result))
-    for clause in problem.partial.clauses():
+    for clause in problem.phi.clauses():
         g = CubeMap.face(problem.I, clause)
         got = fib.family.restrict(problem.I, end, g, result)
         want = partial_end(fib.family, base, problem, clause, far)
@@ -136,7 +121,7 @@ def check_start_agreement(fib: Fib, problem: Problem) -> bool:
     start = path_at(base, problem, problem.e)
     if not fib.family.contains(problem.I, start, problem.a0):
         return False
-    for clause in problem.partial.clauses():
+    for clause in problem.phi.clauses():
         g = CubeMap.face(problem.I, clause)
         got = fib.family.restrict(problem.I, start, g, problem.a0)
         want = partial_end(fib.family, base, problem, clause, problem.e)
@@ -159,20 +144,16 @@ def restrict_problem(family: Family, base: CubicalSet, problem: Problem,
     start = path_at(base, problem, problem.e)
     new_a0 = family.restrict(problem.I, start, g, problem.a0)
     return Problem(stage, problem.z, problem.e, new_path,
-                   new_phi, Partial(new_phi, new_values), new_a0)
+                   new_phi, new_values, new_a0)
 
 
 # ---------------------------------------------------------------------------
 # Stock composition structures
 
 
-def comp_discrete(family: Family, base: CubicalSet):
+def comp_discrete(problem: Problem):
     """Composition for constant families: transport is the identity."""
-
-    def comp(problem: Problem):
-        return problem.a0
-
-    return comp
+    return problem.a0
 
 
 def comp_unit(base: CubicalSet) -> Fib:
@@ -180,7 +161,7 @@ def comp_unit(base: CubicalSet) -> Fib:
     return Fib(UnitFamily(base), lambda problem: "*", name="1")
 
 
-def comp_interval_family(family: Family, base: CubicalSet):
+def comp_interval(problem: Problem):
     """Composition for the fiberwise interval (fibers dm(I)).
 
     Wall values are glued by the connection sandwich
@@ -195,42 +176,31 @@ def comp_interval_family(family: Family, base: CubicalSet):
     particular the one above, restricts to the walls on the nose.  The same
     formula computes the fillers, so filling and composing commute.
     """
-
-    def weaken_elt(value, src, dst):
-        return dm_subst(value, {n: dm_sym(dst, n) for n in src}, dst)
-
-    def clause_indicator(I, clause):
+    I = problem.I
+    far = 1 - problem.e
+    ends = {}
+    for clause in problem.phi.clauses():
+        stage = clause_stage(I, clause)
+        ends[clause] = dm_subst(
+            problem.values[clause], {**{n: dm_sym(stage, n) for n in stage},
+                                     problem.z: dm_const(stage, far)}, stage)
+    if not ends:
+        return problem.a0
+    if frozenset() in ends:
+        # total partial path: the answer is forced
+        return ends[frozenset()]
+    lower = dm_const(I, 0)
+    upper = dm_const(I, 1)
+    for clause, value in ends.items():
+        stage = clause_stage(I, clause)
+        wall = dm_subst(value, {n: dm_sym(I, n) for n in stage}, I)
         m = dm_const(I, 1)
         for name, endpoint in clause:
             s = dm_sym(I, name)
             m = dm_meet(m, s if endpoint == 1 else dm_neg(s))
-        return m
-
-    def comp(problem: Problem):
-        I = problem.I
-        far = 1 - problem.e
-        ends = {}
-        for clause in problem.partial.clauses():
-            stage = clause_stage(I, clause)
-            v = problem.partial.values[clause]
-            ends[clause] = dm_subst(
-                v, {**{n: dm_sym(stage, n) for n in stage},
-                    problem.z: dm_const(stage, far)}, stage)
-        if not ends:
-            return problem.a0
-        if frozenset() in ends:
-            # total partial path: the answer is forced
-            return ends[frozenset()]
-        lower = dm_const(I, 0)
-        upper = dm_const(I, 1)
-        for clause, value in ends.items():
-            wall = weaken_elt(value, clause_stage(I, clause), I)
-            m = clause_indicator(I, clause)
-            lower = dm_join(lower, dm_meet(wall, m))
-            upper = dm_meet(upper, dm_join(wall, dm_neg(m)))
-        return dm_join(lower, dm_meet(upper, problem.a0))
-
-    return comp
+        lower = dm_join(lower, dm_meet(wall, m))
+        upper = dm_meet(upper, dm_join(wall, dm_neg(m)))
+    return dm_join(lower, dm_meet(upper, problem.a0))
 
 
 def comp_sigma(first: Fib, second: Fib) -> Fib:
@@ -241,32 +211,12 @@ def comp_sigma(first: Fib, second: Fib) -> Fib:
     family = SigmaFamily(first.family, second.family)
 
     def comp(problem: Problem):
-        I, z = problem.I, problem.z
         a0, b0 = problem.a0
-        fst_partial = Partial(problem.phi, {
-            c: v[0] for c, v in problem.partial.values.items()})
-        fst_problem = Problem(I, z, problem.e, problem.path,
-                              problem.phi, fst_partial, a0)
-        a1 = first.comp(fst_problem)
-        # fill the first component, then rename the fill direction back to z
-        w = _fresh_dim(problem.zctx)
-        abar = fill(first, fst_problem, w)
-        wctx = I | {w}
-        to_w = CubeMap.make(problem.zctx, wctx,
-                            {**{n: dm_sym(wctx, n) for n in I},
-                             z: dm_sym(wctx, w)})
-        path_w = first.base.restrict(problem.zctx, to_w, problem.path)
-        rename = CubeMap.make(wctx, problem.zctx,
-                              {**{n: dm_sym(problem.zctx, n) for n in I},
-                               w: dm_sym(problem.zctx, z)})
-        abar_z = first.family.restrict(wctx, path_w, rename, abar)
-        total_path = (problem.path, abar_z)
-        snd_partial = Partial(problem.phi, {
-            c: v[1] for c, v in problem.partial.values.items()})
-        snd_problem = Problem(I, z, problem.e, total_path,
-                              problem.phi, snd_partial, b0)
-        b1 = second.comp(snd_problem)
-        return (a1, b1)
+        fst = replace(problem, a0=a0,
+                      values={c: v[0] for c, v in problem.values.items()})
+        snd = replace(problem, a0=b0, path=(problem.path, fill_path(first, fst)),
+                      values={c: v[1] for c, v in problem.values.items()})
+        return (first.comp(fst), second.comp(snd))
 
     return Fib(family, comp, name=f"Sig({first.name},{second.name})")
 
@@ -328,6 +278,19 @@ def fill(fib: Fib, problem: Problem, out_dim: str):
 
     a0w = fib.family.restrict(I, path_at(base, problem, e),
                               CubeMap.weaken(I, wctx), problem.a0)
-    wproblem = Problem(wctx, z, e, new_path, new_phi,
-                       Partial(new_phi, new_values), a0w)
-    return fib.comp(wproblem)
+    return fib.comp(Problem(wctx, z, e, new_path, new_phi, new_values, a0w))
+
+
+def fill_path(fib: Fib, problem: Problem):
+    """The filler as a path element over the problem's own direction."""
+    w = _fresh_dim(problem.zctx)
+    q = fill(fib, problem, w)
+    I, z = problem.I, problem.z
+    wctx = I | {w}
+    to_w = CubeMap.make(problem.zctx, wctx,
+                        {**{n: dm_sym(wctx, n) for n in I}, z: dm_sym(wctx, w)})
+    path_w = fib.base.restrict(problem.zctx, to_w, problem.path)
+    rename = CubeMap.make(wctx, problem.zctx,
+                          {**{n: dm_sym(problem.zctx, n) for n in I},
+                           w: dm_sym(problem.zctx, z)})
+    return fib.family.restrict(wctx, path_w, rename, q)

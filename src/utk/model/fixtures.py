@@ -11,39 +11,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .interval import dm_all, dm_basic, dm_const, dm_meet, dm_neg, dm_sym
+from .interval import dm_const, dm_meet, dm_neg, dm_sym
 from .cset import (
     CSetMap, ConstantFamily, CubeMap, CubicalSet, DiscreteCSet, Family,
-    IntervalCSet, IntervalFamily, PointCSet, TabularCSet, TotalCSet,
+    IntervalCSet, IntervalFamily, PointCSet, TotalCSet,
 )
-from .fib import Fib, comp_discrete, comp_interval_family
+from .fib import Fib, comp_discrete, comp_interval, comp_sigma
 from .constructions import ContrStruct
 
 
-class SampledIntervalFamily(IntervalFamily):
-    """Interval fibers, with problem enumeration sampling the basic elements
-    beyond one dimension."""
-
-    def sample_fiber(self, context, rho):
-        if len(context) <= 1:
-            return list(dm_all(context))
-        return list(dm_basic(context))
-
-
-def sample_fiber(family: Family, context, rho):
-    if hasattr(family, "sample_fiber"):
-        return family.sample_fiber(context, rho)
-    return family.fiber(context, rho)
-
-
 def discrete_fib(base: CubicalSet, labels, name: str) -> Fib:
-    family = ConstantFamily(base, labels, name=name)
-    return Fib(family, comp_discrete(family, base), name=name)
+    return Fib(ConstantFamily(base, labels, name=name), comp_discrete, name=name)
+
+
+class LabelFamily(Family):
+    """A discrete family whose labels depend on the base cell: the fiber over
+    rho is labels(rho), and every restriction keeps the label."""
+
+    def __init__(self, base: CubicalSet, labels, name: str):
+        super().__init__(base)
+        self.labels = labels
+        self.name = name
+
+    def fiber(self, context, rho):
+        return list(self.labels(rho))
+
+    def restrict(self, context, rho, f, a):
+        return a
+
+
+def label_fib(base: CubicalSet, labels, name: str) -> Fib:
+    return Fib(LabelFamily(base, labels, name), comp_discrete, name=name)
 
 
 def interval_fib(base: CubicalSet) -> Fib:
-    family = SampledIntervalFamily(base)
-    return Fib(family, comp_interval_family(family, base), name="W")
+    return Fib(IntervalFamily(base), comp_interval, name="W")
 
 
 def interval_contraction(base: CubicalSet) -> ContrStruct:
@@ -76,7 +78,7 @@ class TotalSliceFamily(Family):
         return self._slice(rho).fiber(context, rho)
 
     def sample_fiber(self, context, rho):
-        return sample_fiber(self._slice(rho), context, rho)
+        return self._slice(rho).sample_fiber(context, rho)
 
     def contains(self, context, rho, a):
         return self._slice(rho).contains(context, rho, a)
@@ -91,7 +93,7 @@ def sigma_fixture():
     base = DiscreteCSet(["p", "q"], name="2pt")
     A = discrete_fib(base, ["a1", "a2"], name="A2")
     total = TotalCSet(base, A.family)
-    w_family = SampledIntervalFamily(total)
+    w_family = IntervalFamily(total)
     unit_family = ConstantFamily(total, ["u"], name="u1")
     slices = {
         ("p", "a1"): w_family,
@@ -100,18 +102,15 @@ def sigma_fixture():
         ("q", "a2"): unit_family,
     }
     family = TotalSliceFamily(total, slices, name="B-slices")
-    w_comp = comp_interval_family(w_family, total)
-    disc = comp_discrete(unit_family, total)
 
     def comp(problem):
         # the base is discrete, so the slice is constant along the path
         rho = total.restrict(problem.zctx, problem.end_map(0), problem.path)
         if slices[rho] is w_family:
-            return w_comp(problem)
-        return disc(problem)
+            return comp_interval(problem)
+        return comp_discrete(problem)
 
     B = Fib(family, comp, name="B")
-    from .fib import comp_sigma
     return base, A, B, comp_sigma(A, B)
 
 
@@ -181,27 +180,12 @@ def load_fixture_file(path) -> list:
             base = csets.get(over)
             if base is None:
                 raise FixtureFormatError(f"family {name} over unknown cset {over}")
-            labels_by_cell = dict(fibers)
-            missing = [c for c in base.labels if c not in labels_by_cell]
+            missing = [c for c in base.labels if c not in fibers]
             if missing:
                 raise FixtureFormatError(
                     f"family {name} is missing fibers for {missing}")
-
-            class _TableFamily(Family):
-                def __init__(self):
-                    super().__init__(base)
-                    self.name = name
-
-                def fiber(self, context, rho):
-                    return list(labels_by_cell[rho])
-
-                def restrict(self, context, rho, f, a):
-                    return a
-
-            family = _TableFamily()
             fixtures.append(Fixture(f"loaded/{name}", base,
-                                    Fib(family, comp_discrete(family, base),
-                                        name=name)))
+                                    label_fib(base, dict(fibers).__getitem__, name)))
         mode = None
         fibers = {}
 

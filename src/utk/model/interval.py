@@ -22,8 +22,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-MAX_DIM = 2
-
 # DM4 carrier: BOT=0, TOP=3 and two fixed points 1, 2 of the involution.
 # A table over n generators lists values in itertools.product order, so the
 # valuation (v_1, ..., v_n) sits at index sum(v_k * 4 ** (n - k)).

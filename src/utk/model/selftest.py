@@ -5,27 +5,24 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import replace
 
 from ..report import Report
-from .interval import (
-    ctx as mkctx, dm_all, dm_const, dm_sym, face_bot, face_eq_sym, face_or,
-    face_top,
-)
+from .interval import dm_all, dm_const, face_bot, face_eq_sym, face_or, face_top
 from .cset import (
-    CANONICAL_DIMS, CSetMap, Cofibration, ConstantFamily, CubeMap, DiscreteCSet,
-    Family, IntervalCSet, PointCSet, ProductIntervalCSet, SigmaFamily,
-    TotalCSet, cof_endpoints, cof_false, cof_interval_eq, cof_true,
-    enumerate_contexts, enumerate_maps, validate_cset, pairing_map,
+    CSetMap, Cofibration, CubeMap, IntervalCSet, PointCSet, ProductIntervalCSet,
+    TotalCSet, cof_false, cof_interval_eq, cof_true, enumerate_contexts,
+    enumerate_maps, extend_clause_map, fst_map, validate_cset,
 )
 from .fib import (
-    CompositionError, Fib, Partial, Problem, check_boundary,
-    check_start_agreement, comp_sigma, comp_unit, fill, path_at,
+    CompositionError, Fib, Problem, check_boundary, check_start_agreement,
+    clause_stage, comp_sigma, comp_unit, fill_path,
 )
 from .constructions import (
-    FibPath, MisalignedPath, StrictIso, coerce_along, coerce_iso_witness,
-    contract_path, contraction_fib, endpoint_reindex, extend_from_contractible,
-    identity_iso, improve, isofib, isopath, realign, reindex_fib, strictify,
-    strictify_fib, veebar,
+    ContrStruct, FibPath, MisalignedPath, StrictIso, coerce_along,
+    coerce_iso_witness, contract_path, endpoint_reindex,
+    extend_from_contractible, identity_iso, improve, isofib, isopath, realign,
+    reindex_fib, strictify, strictify_fib, veebar,
 )
 from . import fixtures as FX
 
@@ -49,16 +46,13 @@ def enumerate_problems(fib: Fib, max_dim: int = 2, z: str = "z",
     assignment of partial values and starting points (capped per shape)."""
     base = fib.base
     family = fib.family
-    from .cset import extend_clause_map
-    from .fib import clause_stage
-
     for I in enumerate_contexts(max_dim - 1):
         zctx = I | {z}
         for path in base.sample_cells(zctx):
             for e in (0, 1):
                 start = base.restrict(
                     zctx, CubeMap.face(zctx, frozenset({(z, e)})), path)
-                starts = FX.sample_fiber(family, I, start)
+                starts = family.sample_fiber(I, start)
                 for phi in phi_library(I):
                     clauses = phi.clauses()
                     pools = []
@@ -66,13 +60,12 @@ def enumerate_problems(fib: Fib, max_dim: int = 2, z: str = "z",
                         stage = clause_stage(I, clause) | {z}
                         gz = extend_clause_map(CubeMap.face(I, clause), z)
                         gz_path = base.restrict(zctx, gz, path)
-                        pools.append(FX.sample_fiber(family, stage, gz_path))
+                        pools.append(family.sample_fiber(stage, gz_path))
                     count = 0
                     for a0 in starts:
                         for combo in itertools.product(*pools):
-                            problem = Problem(
-                                I, z, e, path, phi,
-                                Partial(phi, dict(zip(clauses, combo))), a0)
+                            problem = Problem(I, z, e, path, phi,
+                                              dict(zip(clauses, combo)), a0)
                             if not check_start_agreement(fib, problem):
                                 continue
                             count += 1
@@ -107,7 +100,7 @@ def fibs_equal(f1: Fib, f2: Fib, max_dim: int = 2) -> list:
                 continue
             for dst in enumerate_contexts(max_dim):
                 for f in enumerate_maps(I, dst)[:12]:
-                    for x in FX.sample_fiber(f1.family, I, rho):
+                    for x in f1.family.sample_fiber(I, rho):
                         r1 = f1.family.restrict(I, rho, f, x)
                         r2 = f2.family.restrict(I, rho, f, x)
                         if r1 != r2:
@@ -135,6 +128,57 @@ def _run_check(report: Report, name: str, fn):
         report.add_error(name, f"exception: {exc}", time.time() - t0)
 
 
+# The three check shapes most checks are built from.
+
+
+def _boundary(fib: Fib, max_dim: int) -> list:
+    """Boundary violations of fib's composition on every enumerated problem."""
+    out = []
+    for problem in enumerate_problems(fib, max_dim):
+        out.extend(check_boundary(fib, problem, fib.comp(problem)))
+    return out
+
+
+def _endpoints(path: FibPath, max_dim: int) -> list:
+    """Differences between the ends of the path's line and its recorded
+    source and target."""
+    base = path.source.base
+    return [(e,) + v for e, end in ((0, path.source), (1, path.target))
+            for v in fibs_equal(endpoint_reindex(path.line, base, e), end, max_dim)]
+
+
+def _witness(iso: StrictIso, path: FibPath, max_dim: int) -> list:
+    """Violations of the coercion witness at every stage below the bound: its
+    w = 0 end must be iso.fwd(a), its w = 1 end the coercion of a along path."""
+    B = path.target
+    out = []
+    for I in enumerate_contexts(max_dim - 1):
+        wctx = I | {"w"}
+        ends = [CubeMap.face(wctx, frozenset({("w", e)})) for e in (0, 1)]
+        for x in B.base.sample_cells(I):
+            x_w = B.base.restrict(I, CubeMap.weaken(I, wctx), x)
+            for a in iso.source.sample_fiber(I, x):
+                q = coerce_iso_witness(iso, B, I, x, a)
+                at0, at1 = (B.family.restrict(wctx, x_w, f, q) for f in ends)
+                if at0 != iso.fwd(I, x, a):
+                    out.append(("at0", I, x, a, at0))
+                if at1 != coerce_along(path, I, x, a):
+                    out.append(("at1", I, x, a, at1))
+    return out
+
+
+def _swap_iso(A: Fib, B: Fib, mapping: dict) -> StrictIso:
+    inverse = {v: k for k, v in mapping.items()}
+    return StrictIso(A.family, B.family,
+                     lambda I, rho, a: mapping[a],
+                     lambda I, rho, b: inverse[b], name="swap")
+
+
+# The cofibrations over the interval that realignment and strictification
+# are checked at.
+_COFIBRATIONS = (cof_false(), cof_true(), cof_interval_eq(0))
+
+
 def check_functor_laws(report: Report, fixtures, max_dim: int):
     for fx in fixtures:
         _run_check(report, f"functor-laws/{fx.name}",
@@ -143,103 +187,57 @@ def check_functor_laws(report: Report, fixtures, max_dim: int):
 
 
 def check_boundaries(report: Report, fixtures, max_dim: int):
-    for fx in fixtures:
-        def run(fx=fx):
-            out = []
-            for problem in enumerate_problems(fx.fib, max_dim):
-                result = fx.fib.comp(problem)
-                out.extend(check_boundary(fx.fib, problem, result))
-            return out
-        _run_check(report, f"comp-boundary/{fx.name}", run)
-
-
-def check_sigma(report: Report, max_dim: int):
-    base, A, B, sigma = FX.sigma_fixture()
-
-    def run():
-        out = []
-        for problem in enumerate_problems(sigma, max_dim):
-            result = sigma.comp(problem)
-            out.extend(check_boundary(sigma, problem, result))
-        return out
-
-    _run_check(report, "comp-boundary/sigma", run)
-
-    def run_unit():
-        unit = comp_unit(base)
-        out = []
-        for problem in enumerate_problems(unit, max_dim):
-            if unit.comp(problem) != "*":
-                out.append(problem)
-            out.extend(check_boundary(unit, problem, unit.comp(problem)))
-        return out
-
-    _run_check(report, "comp-boundary/unit", run_unit)
+    base, _, _, sigma = FX.sigma_fixture()
+    fibs = [(fx.name, fx.fib) for fx in fixtures]
+    fibs += [("sigma", sigma), ("unit", comp_unit(base))]
+    for name, fib in fibs:
+        _run_check(report, f"comp-boundary/{name}",
+                   lambda fib=fib: _boundary(fib, max_dim))
 
 
 def check_fill(report: Report, fixtures, max_dim: int):
     for fx in fixtures:
-        def run(fx=fx):
+        def run(fib=fx.fib):
             out = []
-            base = fx.fib.base
-            family = fx.fib.family
-            for problem in itertools.islice(
-                    enumerate_problems(fx.fib, max_dim), 0, 200):
-                q = fill(fx.fib, problem, "w")
-                wctx = problem.I | {"w"}
-                to_w = CubeMap.make(
-                    problem.zctx, wctx,
-                    {**{n: dm_sym(wctx, n) for n in problem.I},
-                     problem.z: dm_sym(wctx, "w")})
-                path_w = base.restrict(problem.zctx, to_w, problem.path)
-                # q at w = e is the starting element
-                at_e = family.restrict(
-                    wctx, path_w,
-                    CubeMap.face(wctx, frozenset({("w", problem.e)})), q)
-                if at_e != problem.a0:
+            for problem in itertools.islice(enumerate_problems(fib, max_dim), 0, 200):
+                p = fill_path(fib, problem)
+                start, end = (fib.family.restrict(problem.zctx, problem.path,
+                                                  problem.end_map(e), p)
+                              for e in (problem.e, 1 - problem.e))
+                if start != problem.a0:
                     out.append(("fill-start", problem))
-                # q at w = 1-e is the composition
-                at_far = family.restrict(
-                    wctx, path_w,
-                    CubeMap.face(wctx, frozenset({("w", 1 - problem.e)})), q)
-                if at_far != fx.fib.comp(problem):
+                if end != fib.comp(problem):
                     out.append(("fill-end", problem))
             return out
         _run_check(report, f"fill/{fx.name}", run)
 
 
 def check_realign(report: Report, max_dim: int):
-    iv = IntervalCSet()
-    fib = FX.discrete_fib(iv, ["x", "y"], "D2/I")
-    for cof, cname in [(cof_false(), "bot"), (cof_true(), "top"),
-                       (cof_interval_eq(0), "(i=0)")]:
-        restricted = Fib(fib.family, fib.comp, name="beta")
-        realigned = realign(cof, restricted, fib)
-
-        def run(cof=cof, realigned=realigned, restricted=restricted):
+    fib = FX.discrete_fib(IntervalCSet(), ["x", "y"], "D2/I")
+    for cof in _COFIBRATIONS:
+        def run(cof=cof):
+            realigned = realign(cof, fib, fib)
             out = []
             for problem in enumerate_problems(fib, max_dim):
                 in_region = cof.face(problem.zctx, problem.path).is_top
                 r = realigned.comp(problem)
                 out.extend(("boundary",) + v
                            for v in check_boundary(fib, problem, r))
-                if in_region and r != restricted.comp(problem):
+                if in_region and r != fib.comp(problem):
                     out.append(("restriction-equation", problem))
             return out
 
-        _run_check(report, f"realign/restriction/{cname}", run)
+        _run_check(report, f"realign/restriction/{cof.name}", run)
 
     # reindexing stability along the interval endomaps
+    cof = cof_interval_eq(0)
     for gamma in FX.base_maps():
         def run_stab(gamma=gamma):
-            cof = cof_interval_eq(0)
-            beta = Fib(fib.family, fib.comp, name="beta")
-            lhs = reindex_fib(realign(cof, beta, fib), gamma)
+            lhs = reindex_fib(realign(cof, fib, fib), gamma)
             cof_g = Cofibration(lambda c, x: cof.face(c, gamma.apply(c, x)),
                                 name="cof.g")
-            beta_g = reindex_fib(fib, gamma)
-            rhs = realign(cof_g, Fib(beta_g.family, beta_g.comp, name="beta.g"),
-                          beta_g)
+            fib_g = reindex_fib(fib, gamma)
+            rhs = realign(cof_g, fib_g, fib_g)
             return comps_agree(lhs, rhs, enumerate_problems(lhs, max_dim))
 
         _run_check(report, f"realign/reindex-stability/{gamma.name}", run_stab)
@@ -248,29 +246,20 @@ def check_realign(report: Report, max_dim: int):
 def check_isofib(report: Report, max_dim: int):
     point = PointCSet()
     fib = FX.discrete_fib(point, ["x", "y"], "D2")
-
-    def run_identity():
-        ident = isofib(identity_iso(fib.family), fib)
-        return comps_agree(ident, fib, enumerate_problems(fib, max_dim))
-
-    _run_check(report, "isofib/identity-law", run_identity)
+    _run_check(report, "isofib/identity-law",
+               lambda: comps_agree(isofib(identity_iso(fib.family), fib), fib,
+                                   enumerate_problems(fib, max_dim)))
 
     swap = {"x": "y", "y": "x"}
-    other = FX.discrete_fib(point, ["x", "y"], "D2'")
-    iso = StrictIso(other.family, fib.family,
-                    lambda I, rho, a: swap[a], lambda I, rho, b: swap[b],
-                    name="swap")
-    swapped = isofib(iso, fib)
+    swapped = isofib(_swap_iso(FX.discrete_fib(point, ["x", "y"], "D2'"), fib, swap), fib)
 
     def run_swap():
         out = []
         for problem in enumerate_problems(swapped, max_dim):
             result = swapped.comp(problem)
-            expected = swap[fib.comp(Problem(
-                problem.I, problem.z, problem.e, problem.path, problem.phi,
-                Partial(problem.phi, {c: swap[v] for c, v in
-                                      problem.partial.values.items()}),
-                swap[problem.a0]))]
+            expected = swap[fib.comp(replace(
+                problem, a0=swap[problem.a0],
+                values={c: swap[v] for c, v in problem.values.items()}))]
             if result != expected:
                 out.append((problem, result, expected))
             out.extend(check_boundary(swapped, problem, result))
@@ -283,16 +272,10 @@ def check_strictify(report: Report, max_dim: int):
     iv = IntervalCSet()
     B = FX.discrete_fib(iv, ["x", "y"], "B")
     A = FX.discrete_fib(iv, ["u", "v"], "A")
-    swap_fwd = {"u": "x", "v": "y"}
-    swap_bwd = {"x": "u", "y": "v"}
-    for cof, cname in [(cof_false(), "bot"), (cof_true(), "top"),
-                       (cof_interval_eq(0), "(i=0)")]:
-        iso = StrictIso(A.family, B.family,
-                        lambda I, rho, a: swap_fwd[a],
-                        lambda I, rho, b: swap_bwd[b], name="s")
-        family, iso2 = strictify(cof, A.family, B.family, iso)
-
-        def run(cof=cof, family=family, iso2=iso2, iso=iso):
+    iso = _swap_iso(A, B, {"u": "x", "v": "y"})
+    for cof in _COFIBRATIONS:
+        def run(cof=cof):
+            family, iso2 = strictify(cof, A.family, B.family, iso)
             out = validate_cset(family, max_dim, max_points=12, max_pairs=250)
             for I in enumerate_contexts(max_dim):
                 for rho in iv.sample_cells(I):
@@ -310,21 +293,11 @@ def check_strictify(report: Report, max_dim: int):
                             out.append(("iso-retract", I, rho, a))
             return out
 
-        _run_check(report, f"strictify/{cname}", run)
+        _run_check(report, f"strictify/{cof.name}", run)
 
-
-def check_strictify_fib(report: Report, max_dim: int):
-    iv = IntervalCSet()
-    B = FX.discrete_fib(iv, ["x", "y"], "B")
-    A = FX.discrete_fib(iv, ["u", "v"], "A")
-    iso = StrictIso(A.family, B.family,
-                    lambda I, rho, a: {"u": "x", "v": "y"}[a],
-                    lambda I, rho, b: {"x": "u", "y": "v"}[b], name="s")
-    for cof, cname in [(cof_false(), "bot"), (cof_true(), "top"),
-                       (cof_interval_eq(0), "(i=0)")]:
-        fib2, iso2 = strictify_fib(cof, A, B, iso)
-
-        def run(cof=cof, fib2=fib2, iso2=iso2):
+    for cof in _COFIBRATIONS:
+        def run_fib(cof=cof):
+            fib2, iso2 = strictify_fib(cof, A, B, iso)
             out = []
             for problem in enumerate_problems(fib2, max_dim):
                 result = fib2.comp(problem)
@@ -342,95 +315,45 @@ def check_strictify_fib(report: Report, max_dim: int):
                                 out.append(("iso-restricts", I, rho, a))
             return out
 
-        _run_check(report, f"strictify-fib/{cname}", run)
+        _run_check(report, f"strictify-fib/{cof.name}", run_fib)
 
 
-def _endpoint_equal(path: FibPath, fib: Fib, endpoint: int, max_dim: int):
-    base = fib.base
-    got = endpoint_reindex(path.line, base, endpoint)
-    return fibs_equal(got, fib, max_dim)
-
-
-def check_veebar_improve(report: Report, max_dim: int):
+def check_paths(report: Report, max_dim: int):
+    """veebar, improve, isopath and the coercion witness on two two-point
+    fibrations over the point."""
     point = PointCSet()
     A = FX.discrete_fib(point, ["x", "y"], "A")
     B = FX.discrete_fib(point, ["s", "t"], "B")
+    iso = _swap_iso(A, B, {"x": "s", "y": "t"})
+    path = isopath(iso, A, B)
     vee, _ = veebar(A, B)
-
-    def run_endpoints():
-        out = []
-        product = ProductIntervalCSet(point)
-        for endpoint, side in ((0, A), (1, B)):
-            gamma = CSetMap(point, vee.base,
-                            lambda c, x, e=endpoint: ((x, dm_const(c, e))),
-                            name=f"<id,{endpoint},*>")
-            got = reindex_fib(vee, gamma)
-            out.extend((endpoint,) + v for v in fibs_equal(got, side, max_dim))
-        return out
-
-    _run_check(report, "veebar/endpoints", run_endpoints)
+    _run_check(report, "veebar/endpoints",
+               lambda: _endpoints(FibPath(vee, A, B), max_dim))
 
     def run_case_split():
         out = []
-        for problem in enumerate_problems(
-                reindex_fib(vee, CSetMap(point, vee.base,
-                                         lambda c, x: (x, dm_const(c, 0)),
-                                         name="at0")), max_dim):
-            pushed = Problem(problem.I, problem.z, problem.e,
-                             (problem.path, dm_const(problem.zctx, 0)),
-                             problem.phi, problem.partial, problem.a0)
+        for problem in enumerate_problems(endpoint_reindex(vee, point, 0), max_dim):
+            pushed = replace(problem, path=(problem.path, dm_const(problem.zctx, 0)))
             if vee.comp(pushed) != A.comp(problem):
                 out.append(problem)
         return out
 
     _run_check(report, "veebar/case-split", run_case_split)
 
-    # improve on a trivial misalignment: constant line at A, identity isos
     def run_improve_trivial():
-        product = ProductIntervalCSet(point)
-        from .cset import fst_map
-        line = reindex_fib(A, fst_map(product))
-        m = MisalignedPath(line,
-                           StrictIso(A.family, line.family,
-                                     lambda I, r, a: a, lambda I, r, b: b),
-                           identity_iso(A.family), A, A)
-        improved = improve(m)
-        return (_endpoint_equal(improved, A, 0, max_dim)
-                + _endpoint_equal(improved, A, 1, max_dim))
+        # a trivial misalignment: the constant line at A, identity isos
+        line = reindex_fib(A, fst_map(ProductIntervalCSet(point)))
+        ident = identity_iso(A.family)
+        m = MisalignedPath(line, replace(ident, target=line.family), ident, A, A)
+        return _endpoints(improve(m), max_dim)
 
     _run_check(report, "improve/identity-endpoints", run_improve_trivial)
-
-
-def _swap_iso(A: Fib, B: Fib, mapping: dict) -> StrictIso:
-    inverse = {v: k for k, v in mapping.items()}
-    return StrictIso(A.family, B.family,
-                     lambda I, rho, a: mapping[a],
-                     lambda I, rho, b: inverse[b], name="swap")
-
-
-def check_isopath(report: Report, max_dim: int):
-    point = PointCSet()
-    A = FX.discrete_fib(point, ["x", "y"], "A")
-    B = FX.discrete_fib(point, ["s", "t"], "B")
-    iso = _swap_iso(A, B, {"x": "s", "y": "t"})
-
-    def run_endpoints():
-        path = isopath(iso, A, B)
-        return (_endpoint_equal(path, A, 0, max_dim)
-                + _endpoint_equal(path, B, 1, max_dim))
-
-    _run_check(report, "isopath/endpoints", run_endpoints)
-
-    def run_identity_iso():
-        path = isopath(identity_iso(A.family), A, A)
-        return (_endpoint_equal(path, A, 0, max_dim)
-                + _endpoint_equal(path, A, 1, max_dim))
-
-    _run_check(report, "isopath/identity", run_identity_iso)
+    _run_check(report, "isopath/endpoints", lambda: _endpoints(path, max_dim))
+    _run_check(report, "isopath/identity",
+               lambda: _endpoints(isopath(identity_iso(A.family), A, A), max_dim))
 
     def run_coerce():
         out = []
-        path = isopath(iso, A, B)
         for x in point.cells(frozenset()):
             for a in A.family.fiber(frozenset(), x):
                 got = coerce_along(path, frozenset(), x, a)
@@ -439,37 +362,7 @@ def check_isopath(report: Report, max_dim: int):
         return out
 
     _run_check(report, "isopath/coerce-is-swap", run_coerce)
-
-
-def check_coerce_iso_witness(report: Report, fixtures, max_dim: int):
-    point = PointCSet()
-    pairs = [
-        ("swap", FX.discrete_fib(point, ["x", "y"], "A"),
-         FX.discrete_fib(point, ["s", "t"], "B"), {"x": "s", "y": "t"}),
-    ]
-    for name, A, B, mapping in pairs:
-        iso = _swap_iso(A, B, mapping)
-
-        def run(A=A, B=B, iso=iso):
-            out = []
-            path = isopath(iso, A, B)
-            for I in enumerate_contexts(max_dim - 1):
-                for x in A.base.sample_cells(I):
-                    for a in FX.sample_fiber(A.family, I, x):
-                        q = coerce_iso_witness(iso, B, I, x, a)
-                        wctx = I | {"w"}
-                        x_w = B.base.restrict(I, CubeMap.weaken(I, wctx), x)
-                        at0 = B.family.restrict(
-                            wctx, x_w, CubeMap.face(wctx, frozenset({("w", 0)})), q)
-                        at1 = B.family.restrict(
-                            wctx, x_w, CubeMap.face(wctx, frozenset({("w", 1)})), q)
-                        if at0 != iso.fwd(I, x, a):
-                            out.append(("at0", I, x, a, at0))
-                        if at1 != coerce_along(path, I, x, a):
-                            out.append(("at1", I, x, a, at1))
-            return out
-
-        _run_check(report, f"coerce-iso-witness/{name}", run)
+    _run_check(report, "coerce-iso-witness/swap", lambda: _witness(iso, path, max_dim))
 
 
 def check_axioms(report: Report, fixtures, max_dim: int) -> None:
@@ -477,144 +370,64 @@ def check_axioms(report: Report, fixtures, max_dim: int) -> None:
     coercion witnesses, and contract for the contractible fixtures."""
     for fx in fixtures:
         A = fx.fib
-        base = fx.base
-        unit = comp_unit(base)
-        sigma_a1 = comp_sigma(A, Fib(
-            ConstantFamily(TotalCSet(base, A.family), ["*"], name="1"),
-            lambda problem: "*", name="1"))
+        sigma_a1 = comp_sigma(A, FX.discrete_fib(TotalCSet(fx.base, A.family), ["*"], "1"))
         iso1 = StrictIso(A.family, sigma_a1.family,
                          lambda I, rho, a: (a, "*"),
                          lambda I, rho, p: p[0], name="pair-unit")
-
-        def run_axiom1(A=A, sigma_a1=sigma_a1, iso1=iso1):
-            path = isopath(iso1, A, sigma_a1)
-            return (_endpoint_equal(path, A, 0, max_dim)
-                    + _endpoint_equal(path, sigma_a1, 1, max_dim))
-
-        _run_check(report, f"axiom-1-unit/{fx.name}", run_axiom1)
-
-        def run_axiom4(A=A, base=base, sigma_a1=sigma_a1, iso1=iso1):
-            out = []
-            path = isopath(iso1, A, sigma_a1)
-            for I in enumerate_contexts(max_dim - 1):
-                for x in base.sample_cells(I):
-                    for a in FX.sample_fiber(A.family, I, x):
-                        q = coerce_iso_witness(iso1, sigma_a1, I, x, a)
-                        wctx = I | {"w"}
-                        x_w = base.restrict(I, CubeMap.weaken(I, wctx), x)
-                        at0 = sigma_a1.family.restrict(
-                            wctx, x_w, CubeMap.face(wctx, frozenset({("w", 0)})), q)
-                        at1 = sigma_a1.family.restrict(
-                            wctx, x_w, CubeMap.face(wctx, frozenset({("w", 1)})), q)
-                        if at0 != (a, "*"):
-                            out.append(("pair-shape", I, x, a, at0))
-                        if at1 != coerce_along(path, I, x, a):
-                            out.append(("coerce-end", I, x, a, at1))
-            return out
-
-        _run_check(report, f"axiom-4-unit-beta/{fx.name}", run_axiom4)
+        path = isopath(iso1, A, sigma_a1)
+        _run_check(report, f"axiom-1-unit/{fx.name}",
+                   lambda path=path: _endpoints(path, max_dim))
+        _run_check(report, f"axiom-4-unit-beta/{fx.name}",
+                   lambda iso1=iso1, path=path: _witness(iso1, path, max_dim))
 
     # axioms (2) and (5): the double sum flip on discrete data
     point = PointCSet()
     A = FX.discrete_fib(point, ["a1", "a2"], "A")
     B = FX.discrete_fib(point, ["b1", "b2"], "B")
-
-    def cvals(a_label):
-        return {"a1": ["c1", "c2"], "a2": ["c3"]}[a_label]
-
-    class FnFamily(Family):
-        """Discrete family whose labels depend on the base point."""
-
-        def __init__(self, base, fn, name):
-            super().__init__(base)
-            self._fn = fn
-            self.name = name
-
-        def fiber(self, context, rho):
-            return list(self._fn(rho))
-
-        def restrict(self, context, rho, f, a):
-            return a
-
-    def disc_fib(family):
-        return Fib(family, lambda problem: problem.a0, name=family.name)
+    cvals = {"a1": ["c1", "c2"], "a2": ["c3"]}
 
     total_a = TotalCSet(point, A.family)
-    b_over_a = FnFamily(total_a, lambda rho: ["b1", "b2"], "B'")
-    total_ab = TotalCSet(total_a, b_over_a)
-    c_over_ab = FnFamily(total_ab, lambda rho: cvals(rho[0][1]), "C")
-    sigma_ab = comp_sigma(A, comp_sigma(disc_fib(b_over_a), disc_fib(c_over_ab)))
+    b_over_a = FX.label_fib(total_a, lambda rho: ["b1", "b2"], "B'")
+    c_over_ab = FX.label_fib(TotalCSet(total_a, b_over_a.family),
+                             lambda rho: cvals[rho[0][1]], "C")
+    sigma_ab = comp_sigma(A, comp_sigma(b_over_a, c_over_ab))
 
     total_b = TotalCSet(point, B.family)
-    a_over_b = FnFamily(total_b, lambda rho: ["a1", "a2"], "A'")
-    total_ba = TotalCSet(total_b, a_over_b)
-    c_over_ba = FnFamily(total_ba, lambda rho: cvals(rho[1]), "C'")
-    sigma_ba = comp_sigma(B, comp_sigma(disc_fib(a_over_b), disc_fib(c_over_ba)))
-    flip_iso = StrictIso(
-        sigma_ab.family, sigma_ba.family,
-        lambda I, rho, t: (t[1][0], (t[0], t[1][1])),
-        lambda I, rho, t: (t[1][0], (t[0], t[1][1])), name="flip")
+    a_over_b = FX.label_fib(total_b, lambda rho: ["a1", "a2"], "A'")
+    c_over_ba = FX.label_fib(TotalCSet(total_b, a_over_b.family),
+                             lambda rho: cvals[rho[1]], "C'")
+    sigma_ba = comp_sigma(B, comp_sigma(a_over_b, c_over_ba))
 
-    def run_axiom2():
-        path = isopath(flip_iso, sigma_ab, sigma_ba)
-        return (_endpoint_equal(path, sigma_ab, 0, max_dim)
-                + _endpoint_equal(path, sigma_ba, 1, max_dim))
+    def flip(I, rho, t):
+        return (t[1][0], (t[0], t[1][1]))
 
-    _run_check(report, "axiom-2-flip", run_axiom2)
-
-    def run_axiom5():
-        out = []
-        path = isopath(flip_iso, sigma_ab, sigma_ba)
-        for x in point.cells(frozenset()):
-            for t in sigma_ab.family.fiber(frozenset(), x):
-                q = coerce_iso_witness(flip_iso, sigma_ba, frozenset(), x, t)
-                wctx = frozenset({"w"})
-                x_w = "pt"
-                at0 = sigma_ba.family.restrict(
-                    wctx, x_w, CubeMap.face(wctx, frozenset({("w", 0)})), q)
-                at1 = sigma_ba.family.restrict(
-                    wctx, x_w, CubeMap.face(wctx, frozenset({("w", 1)})), q)
-                a, (b, c) = t
-                if at0 != (b, (a, c)):
-                    out.append(("triple-shape", t, at0))
-                if at1 != coerce_along(path, frozenset(), x, t):
-                    out.append(("coerce-end", t, at1))
-        return out
-
-    _run_check(report, "axiom-5-flip-beta", run_axiom5)
+    flip_iso = StrictIso(sigma_ab.family, sigma_ba.family, flip, flip, name="flip")
+    path = isopath(flip_iso, sigma_ab, sigma_ba)
+    _run_check(report, "axiom-2-flip", lambda: _endpoints(path, max_dim))
+    _run_check(report, "axiom-5-flip-beta", lambda: _witness(flip_iso, path, max_dim))
 
     # axiom (3): contractible fixtures contract onto the unit
     for fx in fixtures:
-        if fx.contractible is None:
-            continue
-
-        def run_axiom3(fx=fx):
-            path = contract_path(fx.fib, fx.contractible)
-            unit = comp_unit(fx.base)
-            return (_endpoint_equal(path, fx.fib, 0, max_dim)
-                    + _endpoint_equal(path, unit, 1, max_dim))
-
-        _run_check(report, f"axiom-3-contract/{fx.name}", run_axiom3)
+        if fx.contractible is not None:
+            _run_check(report, f"axiom-3-contract/{fx.name}",
+                       lambda fx=fx: _endpoints(contract_path(fx.fib, fx.contractible),
+                                                max_dim))
 
 
 def check_contract_reindexing(report: Report, max_dim: int):
     iv = IntervalCSet()
     fib = FX.discrete_fib(iv, ["x"], "D1/I")
-    contr = FX.ContrStruct(lambda I, rho: "x", lambda I, rho, a, z: "x")
+    contr = ContrStruct(lambda I, rho: "x", lambda I, rho, a, z: "x")
 
     for gamma in FX.base_maps():
         def run(gamma=gamma):
-            lhs = contract_path(fib, contr)
-            lhs_re = reindex_fib(
-                lhs.line,
-                CSetMap(ProductIntervalCSet(iv), lhs.line.base,
-                        lambda c, x: (gamma.apply(c, x[0]), x[1]),
-                        name="gamma*I"))
-            fib_re = reindex_fib(fib, gamma)
-            rhs = contract_path(
-                Fib(fib_re.family, fib_re.comp, name="re"),
-                FX.ContrStruct(lambda I, rho: "x", lambda I, rho, a, z: "x"))
-            return fibs_equal(lhs_re, rhs.line, max_dim)
+            line = contract_path(fib, contr).line
+            lhs = reindex_fib(
+                line, CSetMap(ProductIntervalCSet(iv), line.base,
+                              lambda c, x: (gamma.apply(c, x[0]), x[1]),
+                              name="gamma*I"))
+            rhs = contract_path(reindex_fib(fib, gamma), contr).line
+            return fibs_equal(lhs, rhs, max_dim)
 
         _run_check(report, f"contract/reindex-stability/{gamma.name}", run)
 
@@ -629,12 +442,8 @@ def check_extension(report: Report, max_dim: int):
         out = []
         for I in enumerate_contexts(max_dim - 1):
             for phi in phi_library(I):
-                clauses = phi.clauses()
-                pools = []
-                for clause in clauses:
-                    from .fib import clause_stage
-                    stage = clause_stage(I, clause)
-                    pools.append([(clause, v) for v in dm_all(stage)])
+                pools = [[(clause, v) for v in dm_all(clause_stage(I, clause))]
+                         for clause in phi.clauses()]
                 for combo in itertools.product(*pools):
                     values = dict(combo)
                     try:
@@ -683,15 +492,11 @@ def run(max_dim: int = 2, fixtures_path=None) -> Report:
     check_functor_laws(report, fixtures, max_dim)
     check_cofibration_closure(report, max_dim)
     check_boundaries(report, fixtures, max_dim)
-    check_sigma(report, max_dim)
     check_fill(report, fixtures, max_dim)
     check_realign(report, max_dim)
     check_isofib(report, max_dim)
     check_strictify(report, max_dim)
-    check_strictify_fib(report, max_dim)
-    check_veebar_improve(report, max_dim)
-    check_isopath(report, max_dim)
-    check_coerce_iso_witness(report, fixtures, max_dim)
+    check_paths(report, max_dim)
     check_axioms(report, fixtures, max_dim)
     check_contract_reindexing(report, max_dim)
     check_extension(report, max_dim)

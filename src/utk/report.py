@@ -7,6 +7,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
+def dump_json(data: dict) -> str:
+    """The one JSON layout of every machine readable report."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
 @dataclass
 class Entry:
     name: str
@@ -29,14 +34,17 @@ class Report:
     def ok(self) -> bool:
         return all(e.status == "ok" for e in self.entries)
 
-    def to_json(self, with_timing: bool = False) -> str:
+    def to_dict(self, with_timing: bool = False) -> dict:
         decls = []
         for e in self.entries:
             row = {"name": e.name, "status": e.status, "error": e.error}
             if with_timing:
                 row["elapsed"] = round(e.elapsed, 3)
             decls.append(row)
-        return json.dumps({"declarations": decls, "pass": self.ok}, indent=2, sort_keys=True)
+        return {"declarations": decls, "pass": self.ok}
+
+    def to_json(self, with_timing: bool = False) -> str:
+        return dump_json(self.to_dict(with_timing))
 
     def summary(self) -> str:
         lines = []

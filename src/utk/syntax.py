@@ -6,7 +6,6 @@ hints only and never influence equality (they are excluded from comparison).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -165,11 +164,6 @@ class Declaration:
         return self.body is None
 
 
-# A context is a telescope of (name hint, type); each type is well formed in
-# the prefix before it.
-Context = list  # list[tuple[str, Term]]
-
-
 def validate(term: Term, depth: int) -> bool:
     """True iff every variable index is below its local binding depth plus `depth`."""
     match term:
@@ -277,9 +271,6 @@ def shift(term: Term, by: int, cutoff: int = 0) -> Term:
 # ---------------------------------------------------------------------------
 # Pretty printing.  Output re-parses (see surface parser) to an alpha
 # equivalent term; binder hints are freshened against everything in scope.
-
-_ATOMS = (Var, Universe, Unit, Star, Constant)
-
 
 def _constants(term: Term, acc: set) -> set:
     match term:

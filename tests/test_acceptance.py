@@ -16,7 +16,6 @@ from utk import elab as E
 from utk import kernel as K
 from utk import parser as P
 from utk import syntax as S
-from utk.model import selftest as ST
 from utk.model.interval import ctx, dm_all
 
 sys.setrecursionlimit(400000)
@@ -127,14 +126,6 @@ def test_criterion_3_kernel_properties(checked_corpus):
     if failure:
         print(f"  {failure}")
     report_line("3 kernel properties", failure is None)
-
-
-@pytest.fixture(scope="module")
-def model_report():
-    t0 = time.time()
-    report = ST.run(max_dim=2)
-    report.elapsed = time.time() - t0
-    return report
 
 
 def test_criterion_4_model_equations(model_report):

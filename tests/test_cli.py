@@ -57,6 +57,29 @@ def test_normalize_coerce_refl(capsys):
     assert out.strip() == "\\A x -> x"
 
 
+def test_normalize_json(capsys):
+    prelude = C.corpus_dir() / "prelude.tt"
+    code, out, _ = run_cli(capsys, "normalize", str(prelude), "--def",
+                           "coerce_refl", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["normal_form"] == "\\A x -> x"
+    assert data["pass"] is True
+    assert "coerce_refl" in [d["name"] for d in data["declarations"]]
+
+
+def test_normalize_json_failing_file(tmp_path, capsys):
+    f = tmp_path / "bad.tt"
+    f.write_text("def bad : U0 := U0\n")
+    code, out, err = run_cli(capsys, "normalize", str(f), "--def", "bad", "--json")
+    assert code == 1
+    assert err == ""
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert data["declarations"][0]["name"] == "bad"
+    assert "normal_form" not in data
+
+
 def test_normalize_fills_placeholders(tmp_path, capsys):
     f = tmp_path / "hole.tt"
     f.write_text("def f : 1 -> 1 := \\x -> _\n")
@@ -110,12 +133,6 @@ def test_corpus_dir_override_with_mutation(tmp_path, capsys):
     assert "thm_main_fwd" in out
 
 
-def test_model_selftest(capsys):
-    code, out, _ = run_cli(capsys, "model-selftest")
-    assert code == 0
-    assert out.strip().endswith("pass")
-
-
 def test_model_selftest_json(capsys):
     code, out, _ = run_cli(capsys, "model-selftest", "--json")
     assert code == 0
@@ -128,3 +145,4 @@ def test_model_selftest_fixtures_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "model-selftest", "--fixtures", str(path))
     assert code == 0
     assert "loaded/F" in out
+    assert out.strip().endswith("pass")

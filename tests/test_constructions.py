@@ -80,9 +80,9 @@ def test_veebar_comp_delegates():
     vee, _ = CO.veebar(A, B)
     zctx = ctx("z")
     problem = FB.Problem(E, "z", 0, ("pt", dm_const(zctx, 1)), face_bot(E),
-                         FB.Partial.empty(E), "s")
+                         {}, "s")
     assert vee.comp(problem) == B.comp(
-        FB.Problem(E, "z", 0, "pt", face_bot(E), FB.Partial.empty(E), "s"))
+        FB.Problem(E, "z", 0, "pt", face_bot(E), {}, "s"))
 
 
 def test_veebar_rejects_diagonal_paths():
@@ -90,7 +90,7 @@ def test_veebar_rejects_diagonal_paths():
     vee, _ = CO.veebar(A, B)
     zctx = ctx("z")
     problem = FB.Problem(E, "z", 0, ("pt", dm_sym(zctx, "z")), face_bot(E),
-                         FB.Partial.empty(E), "x")
+                         {}, "x")
     with pytest.raises(Exception):
         vee.comp(problem)
 

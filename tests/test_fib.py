@@ -12,8 +12,7 @@ I = ctx("i")
 
 def mkproblem(fib, I_, path, e=0, phi=None, values=None, a0=None, z="z"):
     phi = phi if phi is not None else face_bot(I_)
-    partial = FB.Partial(phi, values or {})
-    return FB.Problem(I_, z, e, path, phi, partial, a0)
+    return FB.Problem(I_, z, e, path, phi, values or {}, a0)
 
 
 def test_discrete_comp_is_identity():

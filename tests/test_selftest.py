@@ -2,29 +2,27 @@ import json
 
 import pytest
 
+from utk.model import constructions as CO
+from utk.model import cset as CS
+from utk.model import fib as FB
 from utk.model import fixtures as FX
 from utk.model import selftest as ST
 
 
-@pytest.fixture(scope="module")
-def full_report():
-    return ST.run(max_dim=2)
+def test_selftest_passes(model_report):
+    assert model_report.ok, model_report.summary()
 
 
-def test_selftest_passes(full_report):
-    assert full_report.ok, full_report.summary()
-
-
-def test_selftest_covers_every_axiom(full_report):
-    names = [e.name for e in full_report.entries]
+def test_selftest_covers_every_axiom(model_report):
+    names = [e.name for e in model_report.entries]
     for marker in ("axiom-1-unit", "axiom-2-flip", "axiom-3-contract",
                    "axiom-4-unit-beta", "axiom-5-flip-beta"):
         assert any(marker in n for n in names), marker
 
 
-def test_selftest_never_aborts_early(full_report):
+def test_selftest_never_aborts_early(model_report):
     # the battery aggregates; a report exists for every registered check
-    assert len(full_report.entries) > 40
+    assert len(model_report.entries) > 40
 
 
 def test_selftest_rejects_bad_dimension():
@@ -32,9 +30,9 @@ def test_selftest_rejects_bad_dimension():
     assert not report.ok
 
 
-def test_report_json_stable(full_report):
-    a = full_report.to_json()
-    b = full_report.to_json()
+def test_report_json_stable(model_report):
+    a = model_report.to_json()
+    b = model_report.to_json()
     assert a == b
     parsed = json.loads(a)
     assert parsed["pass"] is True
@@ -79,3 +77,36 @@ def test_selftest_with_loaded_fixtures(tmp_path):
     report = ST.run(max_dim=2, fixtures_path=str(path))
     assert report.ok
     assert any("loaded/F" in e.name for e in report.entries)
+
+
+# Each check shape flags a planted fault and passes the sound input next to it.
+
+
+def two_point_path():
+    point = CS.PointCSet()
+    A = FX.discrete_fib(point, ["x", "y"], "A")
+    B = FX.discrete_fib(point, ["s", "t"], "B")
+    iso = ST._swap_iso(A, B, {"x": "s", "y": "t"})
+    return A, B, iso, CO.isopath(iso, A, B)
+
+
+def test_boundary_flags_a_composition_that_ignores_the_walls():
+    sound = FX.interval_fib(CS.PointCSet())
+    assert ST._boundary(sound, 2) == []
+    stuck = FB.Fib(sound.family, FB.comp_discrete, name="stuck")
+    assert ST._boundary(stuck, 2)
+
+
+def test_endpoints_flags_a_wrong_recorded_target():
+    A, B, iso, path = two_point_path()
+    assert ST._endpoints(path, 2) == []
+    wrong = CO.FibPath(path.line, A, A)
+    assert ST._endpoints(wrong, 2)
+    assert all(v[0] == 1 for v in ST._endpoints(wrong, 2))
+
+
+def test_witness_flags_a_wrong_iso():
+    A, B, iso, path = two_point_path()
+    assert ST._witness(iso, path, 2) == []
+    crossed = ST._swap_iso(A, B, {"x": "t", "y": "s"})
+    assert ST._witness(crossed, path, 2)
