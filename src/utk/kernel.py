@@ -1,13 +1,21 @@
 """Bidirectional type checker with definitional equality by normalization.
 
 Evaluation maps terms into a semantic domain (`Value`); conversion compares
-values type-directedly, validating eta for Pi, Sigma and Unit.  Postulates and
-opaque definitions are neutral heads; transparent definitions unfold eagerly.
+values type-directedly, validating eta for Pi, Sigma and Unit.
+
+Evaluation is call by need: an argument is a memoised `Lazy` that is
+evaluated when a variable lookup first needs it.  Postulates and opaque
+definitions are rigid neutral heads.  A transparent definition evaluates to a
+glued neutral: its name and spine, plus its unfolding, computed when first
+needed.  Conversion compares two glued neutrals with the same head by their
+spines before it unfolds them, and `whnf` unfolds wherever a value's shape is
+matched.  Quoting unfolds every transparent definition, so normal forms do not
+depend on the gluing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import syntax as S
@@ -62,97 +70,120 @@ class DeclarationError(KernelError):
 # Semantic domain
 
 
-@dataclass
+class Lazy:
+    """A memoised suspension: `fn(*args)` runs on the first `force`, and the
+    result is kept in place of `fn` and `args`.  Arguments (in environments
+    and spines) and the unfoldings of glued neutrals are lazy."""
+
+    __slots__ = ("fn", "args", "value")
+
+    def __init__(self, fn, *args):
+        self.fn = fn
+        self.args = args
+
+    def force(self) -> "Value":
+        if self.fn is not None:
+            self.value = self.fn(*self.args)
+            self.fn = self.args = None
+        return self.value
+
+
+def force(v) -> "Value":
+    return v.force() if v.__class__ is Lazy else v
+
+
+@dataclass(slots=True)
 class Closure:
     env: tuple
     body: Term
     scope: "GlobalScope" = None
 
     def apply(self, *args: "Value") -> "Value":
-        return evaluate(self.scope, self.env + tuple(args), self.body)
+        return evaluate(self.scope, self.env + args, self.body)
 
 
-@dataclass
+@dataclass(slots=True)
 class VUniverse:
     level: int
 
 
-@dataclass
+@dataclass(slots=True)
 class VPi:
     domain: "Value"
     codomain: Closure
     hint: str = "_"
 
 
-@dataclass
+@dataclass(slots=True)
 class VLambda:
     closure: Closure
     hint: str = "x"
 
 
-@dataclass
+@dataclass(slots=True)
 class VSigma:
     first: "Value"
     second: Closure
     hint: str = "_"
 
 
-@dataclass
+@dataclass(slots=True)
 class VPair:
     fst: "Value"
     snd: "Value"
 
 
-@dataclass
+@dataclass(slots=True)
 class VUnit:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class VStar:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class VId:
     type: "Value"
     lhs: "Value"
     rhs: "Value"
 
 
-@dataclass
+@dataclass(slots=True)
 class VRefl:
     point: "Value"
 
 
-@dataclass
+@dataclass(slots=True)
 class VVar:
     lvl: int
     type: "Value"
 
 
-@dataclass
+@dataclass(slots=True)
 class VConst:
     name: str
     type: "Value"
+    body: Optional["Value"] = field(default=None, repr=False, compare=False)  # None: rigid
 
 
-@dataclass
+@dataclass(slots=True)
 class SApp:
-    arg: "Value"
+    arg: "Value"  # or a Lazy
 
 
-@dataclass
+@dataclass(slots=True)
 class SFst:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class SSnd:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class SJ:
     motive: Closure  # three arguments
     base: Closure  # one argument
@@ -161,10 +192,16 @@ class SJ:
     hints: tuple = ("x", "y", "p")
 
 
-@dataclass
+@dataclass(slots=True)
 class VNeutral:
+    """A head and its eliminators.  A neutral whose head is a transparent
+    constant is glued: `unfold` is the value it δ-reduces to, computed when
+    first needed.  Rigid neutrals have no unfolding."""
+
     head: Union[VVar, VConst]
     spine: tuple = ()
+    unfold: object = field(default=None, repr=False, compare=False)
+    mismatch: object = field(default=None, repr=False, compare=False)  # see _convert_glued
 
 
 Value = Union[VUniverse, VPi, VLambda, VSigma, VPair, VUnit, VStar, VId, VRefl, VNeutral]
@@ -173,11 +210,12 @@ V_UNIT = VUnit()
 V_STAR = VStar()
 
 
-@dataclass
+@dataclass(slots=True)
 class ScopeEntry:
     type: Value
-    body: Optional[Value]  # None: postulate or opaque
+    body: Optional[Value]  # None: postulate
     opaque: bool = False
+    value: Value = None  # the constant as a neutral, glued to `body` unless opaque
 
 
 class GlobalScope:
@@ -207,7 +245,8 @@ class GlobalScope:
 def evaluate(scope: GlobalScope, env: tuple, term: Term) -> Value:
     match term:
         case Var(ix):
-            return env[len(env) - 1 - ix]
+            v = env[len(env) - 1 - ix]
+            return v.force() if v.__class__ is Lazy else v
         case Universe(Level(i)):
             return VUniverse(i)
         case Pi(d, c, h):
@@ -215,7 +254,7 @@ def evaluate(scope: GlobalScope, env: tuple, term: Term) -> Value:
         case Lambda(b, h):
             return VLambda(Closure(env, b, scope), h)
         case Apply(f, a):
-            return do_apply(evaluate(scope, env, f), evaluate(scope, env, a))
+            return do_apply(evaluate(scope, env, f), delay(scope, env, a))
         case Sigma(f, s, h):
             return VSigma(evaluate(scope, env, f), Closure(env, s, scope), h)
         case Pair(a, b):
@@ -241,10 +280,7 @@ def evaluate(scope: GlobalScope, env: tuple, term: Term) -> Value:
         case Constant(name):
             if name not in scope:
                 raise UnboundConstantError(f"unbound constant: {name}")
-            entry = scope[name]
-            if entry.body is not None and not entry.opaque:
-                return entry.body
-            return VNeutral(VConst(name, entry.type))
+            return scope[name].value
         case Annot(t, _):
             return evaluate(scope, env, t)
         case S.Hole(solution=sol) if sol is not None:
@@ -252,12 +288,50 @@ def evaluate(scope: GlobalScope, env: tuple, term: Term) -> Value:
     raise S.MalformedTermError(f"not a term: {term!r}")
 
 
-def do_apply(fn: Value, arg: Value) -> Value:
+def delay(scope: GlobalScope, env: tuple, term: Term):
+    """The value of `term`, evaluated when first needed (call by need)."""
+    if term.__class__ is Var:
+        return env[len(env) - 1 - term.ix]
+    return Lazy(evaluate, scope, env, term)
+
+
+def neutral(head) -> VNeutral:
+    """A head with no eliminators, glued to its body if it has one."""
+    return VNeutral(head, (), head.body if head.__class__ is VConst else None)
+
+
+def whnf(v: Value) -> Value:
+    """Unfold glued neutrals until the value is rigid or not neutral."""
+    while v.__class__ is VNeutral and v.unfold is not None:
+        v = force(v.unfold)
+    return v
+
+
+def _extend(n: VNeutral, item) -> VNeutral:
+    """n with one more eliminator; a glued neutral's unfolding follows.  J
+    unfolds its proof first, so only applications and projections reach a
+    glued neutral."""
+    u = n.unfold
+    return VNeutral(n.head, n.spine + (item,), None if u is None else Lazy(_eliminate, u, item))
+
+
+def _eliminate(v, item) -> Value:
+    v = force(v)
+    match item:
+        case SApp(arg):
+            return do_apply(v, arg)
+        case SFst():
+            return do_fst(v)
+        case SSnd():
+            return do_snd(v)
+
+
+def do_apply(fn: Value, arg) -> Value:
     match fn:
         case VLambda(clo):
             return clo.apply(arg)
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (SApp(arg),))
+        case VNeutral():
+            return _extend(fn, SApp(arg))
     raise KernelError(f"cannot apply non-function value {fn!r}")
 
 
@@ -265,8 +339,8 @@ def do_fst(p: Value) -> Value:
     match p:
         case VPair(a, _):
             return a
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (SFst(),))
+        case VNeutral():
+            return _extend(p, SFst())
     raise KernelError(f"cannot project non-pair value {p!r}")
 
 
@@ -274,18 +348,19 @@ def do_snd(p: Value) -> Value:
     match p:
         case VPair(_, b):
             return b
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (SSnd(),))
+        case VNeutral():
+            return _extend(p, SSnd())
     raise KernelError(f"cannot project non-pair value {p!r}")
 
 
 def do_j(motive: Closure, base: Closure, lhs: Value, rhs: Value, proof: Value,
          hints: tuple = ("x", "y", "p")) -> Value:
-    match proof:
+    """J computes on refl, so a glued proof unfolds first."""
+    match whnf(proof):
         case VRefl(_):
             return base.apply(lhs)
-        case VNeutral(head, spine):
-            return VNeutral(head, spine + (SJ(motive, base, lhs, rhs, hints),))
+        case VNeutral() as stuck:
+            return _extend(stuck, SJ(motive, base, lhs, rhs, hints))
     raise KernelError(f"cannot eliminate non-path value {proof!r}")
 
 
@@ -294,11 +369,12 @@ def fresh(lvl: int, type_v: Value) -> VNeutral:
 
 
 # ---------------------------------------------------------------------------
-# Quoting (type-directed readback; produces eta-long beta normal forms)
+# Quoting (type-directed readback; produces eta-long beta normal forms, with
+# every transparent constant unfolded)
 
 
 def quote(d: int, value: Value, type_v: Value) -> Term:
-    match type_v:
+    match whnf(type_v):
         case VPi(dom, cod, h):
             x = fresh(d, dom)
             return Lambda(quote(d + 1, do_apply(value, x), cod.apply(x)), hint=h if h != "_" else "x")
@@ -310,20 +386,20 @@ def quote(d: int, value: Value, type_v: Value) -> Term:
         case VUniverse(_):
             return quote_type(d, value)
         case VId(ty, _, _):
-            match value:
+            match whnf(value):
                 case VRefl(point):
                     return Refl(quote(d, point, ty))
-                case VNeutral():
-                    return quote_neutral(d, value)[0]
+                case VNeutral() as n:
+                    return quote_neutral(d, n)[0]
         case VNeutral():
-            match value:
-                case VNeutral():
-                    return quote_neutral(d, value)[0]
+            match whnf(value):
+                case VNeutral() as n:
+                    return quote_neutral(d, n)[0]
     raise KernelError(f"quote: value {value!r} does not fit type {type_v!r}")
 
 
 def quote_type(d: int, value: Value) -> Term:
-    match value:
+    match whnf(value):
         case VUniverse(i):
             return S.universe(i)
         case VPi(dom, cod, h):
@@ -336,24 +412,25 @@ def quote_type(d: int, value: Value) -> Term:
             return S.UNIT
         case VId(ty, lhs, rhs):
             return Id(quote_type(d, ty), quote(d, lhs, ty), quote(d, rhs, ty))
-        case VNeutral():
-            return quote_neutral(d, value)[0]
+        case VNeutral() as n:
+            return quote_neutral(d, n)[0]
     raise KernelError(f"quote_type: not a type value: {value!r}")
 
 
 def quote_neutral(d: int, value: VNeutral):
-    """Read back a neutral; returns (term, type value of the whole spine)."""
+    """Read back a rigid neutral; returns (term, type value of the whole
+    spine)."""
     head = value.head
     match head:
         case VVar(lvl, ty):
             term: Term = Var(d - 1 - lvl)
         case VConst(name, ty):
             term = Constant(name)
-    current: Value = VNeutral(head)
+    current: Value = neutral(head)
     for item in value.spine:
-        match item, ty:
+        match item, whnf(ty):
             case SApp(arg), VPi(dom, cod, _):
-                term = Apply(term, quote(d, arg, dom))
+                term = Apply(term, quote(d, force(arg), dom))
                 ty = cod.apply(arg)
                 current = do_apply(current, arg)
             case SFst(), VSigma(first, _, _):
@@ -383,72 +460,103 @@ def quote_neutral(d: int, value: VNeutral):
 
 
 # ---------------------------------------------------------------------------
-# Conversion (type-directed) and cumulativity
+# Conversion (type-directed) and cumulativity, with glued δ after Coquand's
+# 1996 algorithm and Kovács' smalltt.  Two neutrals with the same transparent
+# head first compare by their spines with nothing unfolded (`flex`); if that
+# fails, or the heads differ, both sides unfold.  A flex comparison never
+# unfolds: it gives up instead, and the comparison that started it unfolds.
 
 
-def convert(d: int, v1: Value, v2: Value, type_v: Value) -> bool:
+def _glued(v: Value) -> bool:
+    return v.__class__ is VNeutral and v.unfold is not None
+
+
+def _convert_glued(d: int, v1: Value, v2: Value, flex: bool, compare, *type_v) -> bool:
+    """Glued δ for `compare` (convert at type_v, convert_type or subtype)
+    when v1 or v2 is glued.  A failed spine comparison is remembered on v1,
+    so that unfoldings which expose the same pair again skip it: without
+    that, a chain of n such pairs costs n spine comparisons of up to n
+    steps each."""
+    if _glued(v1) and _glued(v2) and v1.head.name == v2.head.name and v1.mismatch is not v2:
+        if convert_neutral(d, v1, v2, True) is not None:
+            return True
+        v1.mismatch = v2
+    if flex:
+        return False
+    return compare(d, whnf(v1), whnf(v2), *type_v)
+
+
+def convert(d: int, v1: Value, v2: Value, type_v: Value, flex: bool = False) -> bool:
     if v1 is v2:
         return True
+    type_v = whnf(type_v)
     match type_v:
         case VPi(dom, cod, _):
             x = fresh(d, dom)
-            return convert(d + 1, do_apply(v1, x), do_apply(v2, x), cod.apply(x))
+            return convert(d + 1, do_apply(v1, x), do_apply(v2, x), cod.apply(x), flex)
         case VSigma(first, second, _):
             a1 = do_fst(v1)
-            if not convert(d, a1, do_fst(v2), first):
+            if not convert(d, a1, do_fst(v2), first, flex):
                 return False
-            return convert(d, do_snd(v1), do_snd(v2), second.apply(a1))
+            return convert(d, do_snd(v1), do_snd(v2), second.apply(a1), flex)
         case VUnit():
             return True
         case VUniverse(_):
-            return convert_type(d, v1, v2)
+            return convert_type(d, v1, v2, flex)
         case VId(ty, _, _):
+            if _glued(v1) or _glued(v2):
+                return _convert_glued(d, v1, v2, flex, convert, type_v)
             match v1, v2:
                 case VRefl(p1), VRefl(p2):
-                    return convert(d, p1, p2, ty)
+                    return convert(d, p1, p2, ty, flex)
                 case VNeutral(), VNeutral():
-                    return convert_neutral(d, v1, v2) is not None
+                    return convert_neutral(d, v1, v2, flex) is not None
                 case _:
                     return False
         case VNeutral():
+            if _glued(v1) or _glued(v2):
+                return _convert_glued(d, v1, v2, flex, convert, type_v)
             match v1, v2:
                 case VNeutral(), VNeutral():
-                    return convert_neutral(d, v1, v2) is not None
+                    return convert_neutral(d, v1, v2, flex) is not None
             return False
     raise KernelError(f"convert: not a type value: {type_v!r}")
 
 
-def convert_type(d: int, t1: Value, t2: Value) -> bool:
+def convert_type(d: int, t1: Value, t2: Value, flex: bool = False) -> bool:
     if t1 is t2:
         return True
+    if _glued(t1) or _glued(t2):
+        return _convert_glued(d, t1, t2, flex, convert_type)
     match t1, t2:
         case VUniverse(i), VUniverse(j):
             return i == j
         case VPi(d1, c1, _), VPi(d2, c2, _):
-            if not convert_type(d, d1, d2):
+            if not convert_type(d, d1, d2, flex):
                 return False
             x = fresh(d, d1)
-            return convert_type(d + 1, c1.apply(x), c2.apply(x))
+            return convert_type(d + 1, c1.apply(x), c2.apply(x), flex)
         case VSigma(f1, s1, _), VSigma(f2, s2, _):
-            if not convert_type(d, f1, f2):
+            if not convert_type(d, f1, f2, flex):
                 return False
             x = fresh(d, f1)
-            return convert_type(d + 1, s1.apply(x), s2.apply(x))
+            return convert_type(d + 1, s1.apply(x), s2.apply(x), flex)
         case VUnit(), VUnit():
             return True
         case VId(a1, l1, r1), VId(a2, l2, r2):
             return (
-                convert_type(d, a1, a2)
-                and convert(d, l1, l2, a1)
-                and convert(d, r1, r2, a1)
+                convert_type(d, a1, a2, flex)
+                and convert(d, l1, l2, a1, flex)
+                and convert(d, r1, r2, a1, flex)
             )
         case VNeutral(), VNeutral():
-            return convert_neutral(d, t1, t2) is not None
+            return convert_neutral(d, t1, t2, flex) is not None
     return False
 
 
-def convert_neutral(d: int, n1: VNeutral, n2: VNeutral) -> Optional[Value]:
-    """Compare two neutrals; on success return the type of the common spine."""
+def convert_neutral(d: int, n1: VNeutral, n2: VNeutral, flex: bool = False) -> Optional[Value]:
+    """Compare two neutrals by head and spine; on success return the type of
+    the common spine."""
     match n1.head, n2.head:
         case VVar(l1, ty), VVar(l2, _):
             if l1 != l2:
@@ -460,11 +568,11 @@ def convert_neutral(d: int, n1: VNeutral, n2: VNeutral) -> Optional[Value]:
             return None
     if len(n1.spine) != len(n2.spine):
         return None
-    current: Value = VNeutral(n1.head)
+    current: Value = neutral(n1.head)
     for i1, i2 in zip(n1.spine, n2.spine):
-        match i1, i2, ty:
+        match i1, i2, whnf(ty):
             case SApp(a1), SApp(a2), VPi(dom, cod, _):
-                if not convert(d, a1, a2, dom):
+                if a1 is not a2 and not convert(d, force(a1), force(a2), dom, flex):
                     return None
                 ty = cod.apply(a1)
                 current = do_apply(current, a1)
@@ -478,12 +586,12 @@ def convert_neutral(d: int, n1: VNeutral, n2: VNeutral) -> Optional[Value]:
                 x = fresh(d, a_ty)
                 y = fresh(d + 1, a_ty)
                 p = fresh(d + 2, VId(a_ty, x, y))
-                if not convert_type(d + 3, m1.apply(x, y, p), m2.apply(x, y, p)):
+                if not convert_type(d + 3, m1.apply(x, y, p), m2.apply(x, y, p), flex):
                     return None
                 bx = fresh(d, a_ty)
-                if not convert(d + 1, b1.apply(bx), b2.apply(bx), m1.apply(bx, bx, VRefl(bx))):
+                if not convert(d + 1, b1.apply(bx), b2.apply(bx), m1.apply(bx, bx, VRefl(bx)), flex):
                     return None
-                if not convert(d, l1, l2, a_ty) or not convert(d, r1, r2, a_ty):
+                if not convert(d, l1, l2, a_ty, flex) or not convert(d, r1, r2, a_ty, flex):
                     return None
                 ty = m1.apply(l1, r1, current)
                 current = do_j(m1, b1, l1, r1, current)
@@ -495,6 +603,8 @@ def convert_neutral(d: int, n1: VNeutral, n2: VNeutral) -> Optional[Value]:
 def subtype(d: int, t1: Value, t2: Value) -> bool:
     """Cumulativity: U_i <= U_j for i <= j, covariant Pi codomains and Sigma
     components, conversion elsewhere."""
+    if _glued(t1) or _glued(t2):
+        return _convert_glued(d, t1, t2, False, subtype)
     match t1, t2:
         case VUniverse(i), VUniverse(j):
             return i <= j
@@ -569,16 +679,16 @@ class Checker:
                 pv = self.eval(p)
                 return VId(pt, pv, pv)
             case Apply(f, a):
-                ft = self.infer(f)
+                ft = whnf(self.infer(f))
                 match ft:
                     case VPi(dom, cod, _):
                         self.check(a, dom)
-                        return cod.apply(self.eval(a))
+                        return cod.apply(delay(self.scope, self.env, a))
                 raise KernelError(
                     f"cannot apply a term of non-function type "
                     f"{S.pretty_print(quote_type(self.depth, ft), self.names)}")
             case Fst(p):
-                pt = self.infer(p)
+                pt = whnf(self.infer(p))
                 match pt:
                     case VSigma(first, _, _):
                         return first
@@ -586,7 +696,7 @@ class Checker:
                     f"fst of a term of non-pair type "
                     f"{S.pretty_print(quote_type(self.depth, pt), self.names)}")
             case Snd(p):
-                pt = self.infer(p)
+                pt = whnf(self.infer(p))
                 match pt:
                     case VSigma(_, second, _):
                         return second.apply(do_fst(self.eval(p)))
@@ -599,7 +709,7 @@ class Checker:
                 except NoInferableTypeError:
                     # endpoints may be eta-expanded pairs/lambdas; read the
                     # type off the proof instead
-                    pr_ty = self.infer(pr)
+                    pr_ty = whnf(self.infer(pr))
                     match pr_ty:
                         case VId(ty, _, _):
                             a_ty = ty
@@ -638,7 +748,7 @@ class Checker:
         raise S.MalformedTermError(f"not a term: {term!r}")
 
     def infer_universe(self, term: Term) -> int:
-        ty = self.infer(term)
+        ty = whnf(self.infer(term))
         match ty:
             case VUniverse(i):
                 return i
@@ -649,7 +759,7 @@ class Checker:
     def solve_placeholder(self, type_v: Value, d: int = None) -> Term:
         """Inhabit a definitional singleton type; the solution is closed."""
         d = self.depth if d is None else d
-        match type_v:
+        match whnf(type_v):
             case VUnit():
                 return S.STAR
             case VSigma(first, second, _):
@@ -664,7 +774,7 @@ class Checker:
             + S.pretty_print(quote_type(d, type_v), self.names + ["?"] * (d - self.depth)))
 
     def check(self, term: Term, type_v: Value):
-        match term, type_v:
+        match term, whnf(type_v):
             case S.Hole(), _:
                 term.solution = self.solve_placeholder(type_v)
                 return
@@ -678,7 +788,7 @@ class Checker:
                     + S.pretty_print(quote_type(self.depth, type_v), self.names))
             case Pair(a, b), VSigma(first, second, _):
                 self.check(a, first)
-                self.check(b, second.apply(self.eval(a)))
+                self.check(b, second.apply(delay(self.scope, self.env, a)))
                 return
             case Pair(), _:
                 raise KernelError(
@@ -747,10 +857,11 @@ def check_declaration(scope: GlobalScope, decl: Declaration) -> ScopeEntry:
         chk.infer_universe(decl.type)
         type_v = chk.eval(decl.type)
         if decl.body is None:
-            return ScopeEntry(type_v, None, opaque=True)
+            return ScopeEntry(type_v, None, True, neutral(VConst(decl.name, type_v)))
         chk.check(decl.body, type_v)
         body_v = chk.eval(decl.body)
-        return ScopeEntry(type_v, body_v, opaque=decl.opaque)
+        head = VConst(decl.name, type_v, None if decl.opaque else body_v)
+        return ScopeEntry(type_v, body_v, decl.opaque, neutral(head))
     except (KernelError, S.MalformedTermError) as exc:
         raise DeclarationError(decl.name, exc) from exc
 

@@ -133,16 +133,14 @@ def test_corpus_dir_override_with_mutation(tmp_path, capsys):
     assert "thm_main_fwd" in out
 
 
-def test_model_selftest_json(capsys):
-    code, out, _ = run_cli(capsys, "model-selftest", "--json")
+def test_model_selftest_json(fixtures_selftest_cli):
+    code, data = fixtures_selftest_cli
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    assert data["pass"] is True
 
 
-def test_model_selftest_fixtures_flag(tmp_path, capsys):
-    path = tmp_path / "fx.txt"
-    path.write_text("cset b\n  cells: p\n\nfamily F over b\n  fiber p: u\n")
-    code, out, _ = run_cli(capsys, "model-selftest", "--fixtures", str(path))
+def test_model_selftest_fixtures_flag(fixtures_selftest_cli):
+    """The plain summary is checked on the shared report in test_selftest.py."""
+    code, data = fixtures_selftest_cli
     assert code == 0
-    assert "loaded/F" in out
-    assert out.strip().endswith("pass")
+    assert any("loaded/F" in row["name"] for row in data["declarations"])

@@ -1,6 +1,9 @@
 import pytest
 
+from utk import cli
+from utk import elab as E
 from utk import kernel as K
+from utk import parser as P
 from utk import syntax as S
 from utk.syntax import (
     Apply, Constant, Declaration, Fst, Id, J, Lambda, Pair, Pi, Refl, Sigma,
@@ -138,3 +141,87 @@ def test_opaque_definition_blocks_reduction():
     sc = K.check_program(decls)
     nf = K.normalize(sc, [], Apply(Constant("f"), Constant("x0")))
     assert nf == Apply(Constant("f"), Constant("x0"))
+
+
+# Call by need and glued δ.  Laziness must not skip a check, and a
+# comparison by spines must fall back to unfolding.
+
+
+def first_failure(source, opaque=frozenset()):
+    """The declaration at which `source` stops checking, or None."""
+    _, _, _, failure = E.elaborate_and_check(P.parse_program(source), opaque)
+    return failure and failure.decl_name
+
+
+def test_ignored_argument_is_still_checked():
+    src = "def k : U1 -> U1 := \\x -> U0\ndef bad : U1 := k (U0 U0)\n"
+    assert first_failure(src) == "bad"
+
+
+H = "def h : U1 -> U1 -> U1 := \\x y -> x\n"
+
+
+def test_spine_mismatch_falls_back_to_unfolding():
+    src = H + "def ok : Id U1 (h U0 U0) (h U0 1) := refl (h U0 U0)\n"
+    assert first_failure(src) is None
+
+
+def test_different_unfoldings_are_rejected():
+    heads = "def a : U1 := U0\ndef b : U1 := 1\ndef bad : Id U1 a b := refl a\n"
+    assert first_failure(heads) == "bad"
+    spines = H + "def bad : Id U1 (h U0 U0) (h 1 U0) := refl (h U0 U0)\n"
+    assert first_failure(spines) == "bad"
+
+
+def test_opaque_definition_does_not_unfold_in_conversion():
+    src = ("postulate X : U0\npostulate x0 : X\ndef f : X -> X := \\x -> x\n"
+           "def bad : Id X (f x0) x0 := refl x0\n")
+    assert first_failure(src, opaque={"f"}) == "bad"
+    assert first_failure(src) is None
+
+
+def nest_source(depth):
+    """`idf (idf (... U0))`, `depth` applications deep."""
+    term = "U0"
+    for _ in range(depth):
+        term = f"idf ({term})"
+    return f"def idf : U1 -> U1 := \\x -> x\ndef nest_chain : U1 := {term}\n"
+
+
+def h_chain_source(depth, body="x"):
+    """`h (h (... U0) U0) U0` against `h (h (... U0) 1) 1`: equal only once
+    `h` unfolds, since h ignores its second argument."""
+    lhs = rhs = "U0"
+    for _ in range(depth):
+        lhs, rhs = f"h ({lhs}) U0", f"h ({rhs}) 1"
+    return (f"def h : U1 -> U1 -> U1 := \\x y -> {body}\n"
+            f"def h_chain : Id U1 ({lhs}) ({rhs}) := refl ({lhs})\n")
+
+
+@pytest.mark.parametrize("source", [
+    nest_source,
+    h_chain_source,
+    # h unfolds to a Pi type whose domain is the next pair of the chain: the
+    # work here is conversion, not evaluation
+    lambda depth: h_chain_source(depth, "x -> 1"),
+], ids=["idf", "h", "h-pi"])
+def test_checking_chains_is_linear(tmp_path, monkeypatch, source):
+    """Evaluations plus conversions at most 2.5 times over when the chain
+    doubles; counted by wrapping the module globals."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+    for name in ("evaluate", "convert", "convert_type"):
+        monkeypatch.setattr(K, name, counted(getattr(K, name)))
+    counts = []
+    for depth in (500, 1000):
+        path = tmp_path / f"chain-{depth}.tt"
+        path.write_text(source(depth))
+        calls[0] = 0
+        assert cli.run_cli(["check", str(path), "--json"]) == 0
+        counts.append(calls[0])
+    assert counts[1] <= 2.5 * counts[0], counts

@@ -11,6 +11,7 @@ from utk.model import selftest as ST
 
 def test_selftest_passes(model_report):
     assert model_report.ok, model_report.summary()
+    assert model_report.summary().strip().endswith("pass")
 
 
 def test_selftest_covers_every_axiom(model_report):
@@ -65,18 +66,10 @@ def test_fixture_file_errors(tmp_path):
         FX.load_fixture_file(path)
 
 
-def test_selftest_with_loaded_fixtures(tmp_path):
-    path = tmp_path / "fixtures.txt"
-    path.write_text(
-        "cset base\n"
-        "  cells: p\n"
-        "\n"
-        "family F over base\n"
-        "  fiber p: u v w\n"
-    )
-    report = ST.run(max_dim=2, fixtures_path=str(path))
-    assert report.ok
-    assert any("loaded/F" in e.name for e in report.entries)
+def test_selftest_with_loaded_fixtures(fixtures_selftest_cli):
+    code, data = fixtures_selftest_cli
+    assert code == 0 and data["pass"] is True
+    assert any("loaded/F" in row["name"] for row in data["declarations"])
 
 
 # Each check shape flags a planted fault and passes the sound input next to it.
