@@ -36,21 +36,13 @@ def _check_files(paths):
 
 
 def cmd_check(args) -> int:
-    try:
-        _, _, report = _check_files(args.files)
-    except (OSError, P.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    _, _, report = _check_files(args.files)
     print(report.to_json() if args.json else report.summary())
     return 0 if report.ok else CHECK_ERROR
 
 
 def cmd_normalize(args) -> int:
-    try:
-        core, scope, report = _check_files(args.files)
-    except (OSError, P.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    core, scope, report = _check_files(args.files)
     if not report.ok:
         if args.json:
             print(report.to_json())
@@ -68,11 +60,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_corpus(args) -> int:
     directory = Path(args.dir) if args.dir else None
-    try:
-        core, scope, report = C.check_corpus(directory)
-    except (OSError, P.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    core, scope, report = C.check_corpus(directory)
     if report.ok:
         tmap = C.load_theorem_map(directory)
         for entry in C.verify_corpus(scope, tmap).entries:
@@ -83,11 +71,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_model_selftest(args) -> int:
     from .model import selftest
-    try:
-        report = selftest.run(max_dim=args.max_dim, fixtures_path=args.fixtures)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    report = selftest.run(max_dim=args.max_dim, fixtures_path=args.fixtures)
     print(report.to_json() if args.json else report.summary())
     return 0 if report.ok else CHECK_ERROR
 
@@ -128,9 +112,11 @@ def run_cli(argv) -> int:
     result = {}
 
     def work():
+        # the one error handler of every subcommand: unreadable input, a
+        # parse error or a crash prints `error: ...` and exits 2
         try:
             result["code"] = args.fn(args)
-        except Exception as exc:  # pragma: no cover - last resort
+        except Exception as exc:
             print(f"error: {exc}", file=sys.stderr)
             result["code"] = USAGE_ERROR
 

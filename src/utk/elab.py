@@ -7,7 +7,6 @@ Sigma/Pi of singletons), which `check` resolves in place.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from . import kernel as K
@@ -120,33 +119,15 @@ def _strip_binders(term: Term, n: int):
     return wrapped, ["x", "y", "p"][:n]
 
 
-_SUBTERMS = {
-    Pi: ("domain", "codomain"), Lambda: ("body",), Apply: ("fn", "arg"),
-    Sigma: ("first", "second"), Pair: ("fst", "snd"), Fst: ("pair",),
-    Snd: ("pair",), Id: ("type", "lhs", "rhs"), Refl: ("point",),
-    J: ("motive", "base", "lhs", "rhs", "proof"), S.Annot: ("term", "type"),
-}
-
-
 def _zonk(term: Term) -> Term:
     """Replace solved holes by their solutions.  A subterm without holes is
     returned as it is, so a hole-free declaration is not copied."""
-    match term:
-        case Hole(line=line, col=col, solution=sol):
-            if sol is None:
-                raise UnsolvablePlaceholderError(
-                    f"{line}:{col}: unsolved placeholder")
-            return sol
-        case Var() | S.Universe() | S.Unit() | S.Star() | Constant():
-            return term
-    names = _SUBTERMS.get(type(term))
-    if names is None:
-        raise ElabError(f"not a term: {term!r}")
-    old = [getattr(term, n) for n in names]
-    new = [_zonk(t) for t in old]
-    if all(a is b for a, b in zip(old, new)):
-        return term
-    return dataclasses.replace(term, **dict(zip(names, new)))
+    if isinstance(term, Hole):
+        if term.solution is None:
+            raise UnsolvablePlaceholderError(
+                f"{term.line}:{term.col}: unsolved placeholder")
+        return term.solution
+    return S.map_subterms(term, lambda sub, _: _zonk(sub))
 
 
 def elaborate_and_check(surface_decls, opaque=frozenset()):

@@ -189,7 +189,7 @@ class SJ:
     base: Closure  # one argument
     lhs: "Value"
     rhs: "Value"
-    hints: tuple = ("x", "y", "p")
+    hints: tuple = ("x", "y", "p", "x")
 
 
 @dataclass(slots=True)
@@ -354,7 +354,7 @@ def do_snd(p: Value) -> Value:
 
 
 def do_j(motive: Closure, base: Closure, lhs: Value, rhs: Value, proof: Value,
-         hints: tuple = ("x", "y", "p")) -> Value:
+         hints: tuple = ("x", "y", "p", "x")) -> Value:
     """J computes on refl, so a glued proof unfolds first."""
     match whnf(proof):
         case VRefl(_):
@@ -719,7 +719,7 @@ class Checker:
                 self.check(r, a_ty)
                 lv, rv = self.eval(l), self.eval(r)
                 self.check(pr, VId(a_ty, lv, rv))
-                hx, hy, hp = (hints[:3] if len(hints) >= 3 else ("x", "y", "p"))
+                hx, hy, hp, _ = hints
                 cx = self.bind(hx, a_ty)
                 cy = cx.bind(hy, a_ty)
                 x, y = cx.env[-1], cy.env[-1]

@@ -179,15 +179,13 @@ class StrictifiedFamily(Family):
         return self.total.contains(context, rho, a)
 
     def restrict(self, context, rho, f, x):
-        inside = self.cof.holds(context, rho)
-        target = f.dst
-        rho_f = self.base.restrict(context, f, rho)
-        lands_inside = self.cof.holds(target, rho_f)
-        if inside:
+        if self.cof.holds(context, rho):
             return self.partial.restrict(context, rho, f, x)
+        rho_f = self.base.restrict(context, f, rho)
+        lands_inside = self.cof.holds(f.dst, rho_f)
         y = self.total.restrict(context, rho, f, x)
         if lands_inside:
-            return self.iso.bwd(target, rho_f, y)
+            return self.iso.bwd(f.dst, rho_f, y)
         return y
 
 

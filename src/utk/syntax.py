@@ -6,6 +6,7 @@ hints only and never influence equality (they are excluded from comparison).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -115,7 +116,7 @@ class J:
     lhs: "Term"
     rhs: "Term"
     proof: "Term"
-    hints: tuple = field(default=("x", "y", "p"), compare=False)
+    hints: tuple = field(default=("x", "y", "p", "x"), compare=False)
 
 
 @dataclass(frozen=True)
@@ -164,135 +165,95 @@ class Declaration:
         return self.body is None
 
 
+# Each term former's term-valued fields, in order, with the number of
+# variables each field binds.  Every structural walk of core terms reads this
+# table.  `LEAVES` have no subterms; `Hole`, which only the elaborator makes
+# and replaces, is in neither.
+SUBTERMS = {
+    Pi: (("domain", 0), ("codomain", 1)),
+    Lambda: (("body", 1),),
+    Apply: (("fn", 0), ("arg", 0)),
+    Sigma: (("first", 0), ("second", 1)),
+    Pair: (("fst", 0), ("snd", 0)),
+    Fst: (("pair", 0),),
+    Snd: (("pair", 0),),
+    Id: (("type", 0), ("lhs", 0), ("rhs", 0)),
+    Refl: (("point", 0),),
+    J: (("motive", 3), ("base", 1), ("lhs", 0), ("rhs", 0), ("proof", 0)),
+    Annot: (("term", 0), ("type", 0)),
+}
+LEAVES = (Var, Universe, Unit, Star, Constant)
+
+
+def _fields(term) -> tuple:
+    fields = SUBTERMS.get(type(term))
+    if fields is not None:
+        return fields
+    if isinstance(term, LEAVES):
+        return ()
+    raise MalformedTermError(f"not a term: {term!r}")
+
+
+def subterms(term: Term) -> list:
+    """The (subterm, number of variables it binds) pairs of `term`, in field
+    order; none for a leaf."""
+    return [(getattr(term, name), binds) for name, binds in _fields(term)]
+
+
+def map_subterms(term: Term, fn) -> Term:
+    """`term` with each subterm `t` that binds `k` variables replaced by
+    `fn(t, k)`; `term` itself when every replacement is the subterm itself."""
+    changed = {}
+    for name, binds in _fields(term):
+        old = getattr(term, name)
+        new = fn(old, binds)
+        if new is not old:
+            changed[name] = new
+    return dataclasses.replace(term, **changed) if changed else term
+
+
+# The walks below are plain loops: a recursive call made inside `all()` or
+# `any()` over a generator also nests C frames, and overflows the C stack of
+# a deep term well before the recursion limit.
+
 def validate(term: Term, depth: int) -> bool:
     """True iff every variable index is below its local binding depth plus `depth`."""
-    match term:
-        case Var(ix):
-            return 0 <= ix < depth
-        case Universe() | Unit() | Star() | Constant():
-            return True
-        case Pi(domain, codomain):
-            return validate(domain, depth) and validate(codomain, depth + 1)
-        case Lambda(body):
-            return validate(body, depth + 1)
-        case Apply(fn, arg):
-            return validate(fn, depth) and validate(arg, depth)
-        case Sigma(first, second):
-            return validate(first, depth) and validate(second, depth + 1)
-        case Pair(a, b):
-            return validate(a, depth) and validate(b, depth)
-        case Fst(p) | Snd(p):
-            return validate(p, depth)
-        case Id(ty, lhs, rhs):
-            return validate(ty, depth) and validate(lhs, depth) and validate(rhs, depth)
-        case Refl(point):
-            return validate(point, depth)
-        case J(motive, base, lhs, rhs, proof):
-            return (
-                validate(motive, depth + 3)
-                and validate(base, depth + 1)
-                and validate(lhs, depth)
-                and validate(rhs, depth)
-                and validate(proof, depth)
-            )
-        case Annot(t, ty):
-            return validate(t, depth) and validate(ty, depth)
-    raise MalformedTermError(f"not a term: {term!r}")
+    return _constants(term, depth, set())
+
+
+def _constants(term: Term, depth: int, acc: set) -> bool:
+    """`validate`, adding the names of the constants met on the way to `acc`;
+    `pretty_print` avoids them as binder names."""
+    if isinstance(term, Var):
+        return 0 <= term.ix < depth
+    if isinstance(term, Constant):
+        acc.add(term.name)
+    for sub, binds in subterms(term):
+        if not _constants(sub, depth + binds, acc):
+            return False
+    return True
 
 
 def _used(term: Term, ix: int) -> bool:
     """Does de Bruijn index `ix` occur in `term`?"""
-    match term:
-        case Var(i):
-            return i == ix
-        case Universe() | Unit() | Star() | Constant():
-            return False
-        case Pi(d, c):
-            return _used(d, ix) or _used(c, ix + 1)
-        case Lambda(b):
-            return _used(b, ix + 1)
-        case Apply(f, a):
-            return _used(f, ix) or _used(a, ix)
-        case Sigma(f, s):
-            return _used(f, ix) or _used(s, ix + 1)
-        case Pair(a, b):
-            return _used(a, ix) or _used(b, ix)
-        case Fst(p) | Snd(p):
-            return _used(p, ix)
-        case Id(t, l, r):
-            return _used(t, ix) or _used(l, ix) or _used(r, ix)
-        case Refl(p):
-            return _used(p, ix)
-        case J(m, b, l, r, pr):
-            return (
-                _used(m, ix + 3) or _used(b, ix + 1)
-                or _used(l, ix) or _used(r, ix) or _used(pr, ix)
-            )
-        case Annot(t, ty):
-            return _used(t, ix) or _used(ty, ix)
-    raise MalformedTermError(f"not a term: {term!r}")
+    if isinstance(term, Var):
+        return term.ix == ix
+    for sub, binds in subterms(term):
+        if _used(sub, ix + binds):
+            return True
+    return False
 
 
 def shift(term: Term, by: int, cutoff: int = 0) -> Term:
     """Shift free variables at or above `cutoff` by `by`."""
-    match term:
-        case Var(ix):
-            return Var(ix + by) if ix >= cutoff else term
-        case Universe() | Unit() | Star() | Constant():
-            return term
-        case Pi(d, c, h):
-            return Pi(shift(d, by, cutoff), shift(c, by, cutoff + 1), h)
-        case Lambda(b, h):
-            return Lambda(shift(b, by, cutoff + 1), h)
-        case Apply(f, a):
-            return Apply(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Sigma(f, s, h):
-            return Sigma(shift(f, by, cutoff), shift(s, by, cutoff + 1), h)
-        case Pair(a, b):
-            return Pair(shift(a, by, cutoff), shift(b, by, cutoff))
-        case Fst(p):
-            return Fst(shift(p, by, cutoff))
-        case Snd(p):
-            return Snd(shift(p, by, cutoff))
-        case Id(t, l, r):
-            return Id(shift(t, by, cutoff), shift(l, by, cutoff), shift(r, by, cutoff))
-        case Refl(p):
-            return Refl(shift(p, by, cutoff))
-        case J(m, b, l, r, pr, hs):
-            return J(
-                shift(m, by, cutoff + 3), shift(b, by, cutoff + 1),
-                shift(l, by, cutoff), shift(r, by, cutoff), shift(pr, by, cutoff), hs,
-            )
-        case Annot(t, ty):
-            return Annot(shift(t, by, cutoff), shift(ty, by, cutoff))
-    raise MalformedTermError(f"not a term: {term!r}")
+    if isinstance(term, Var):
+        return Var(term.ix + by) if term.ix >= cutoff else term
+    return map_subterms(term, lambda sub, binds: shift(sub, by, cutoff + binds))
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing.  Output re-parses (see surface parser) to an alpha
 # equivalent term; binder hints are freshened against everything in scope.
-
-def _constants(term: Term, acc: set) -> set:
-    match term:
-        case Constant(name):
-            acc.add(name)
-        case Pi(d, c) | Sigma(d, c):
-            _constants(d, acc), _constants(c, acc)
-        case Lambda(b):
-            _constants(b, acc)
-        case Apply(f, a) | Pair(f, a):
-            _constants(f, acc), _constants(a, acc)
-        case Fst(p) | Snd(p) | Refl(p):
-            _constants(p, acc)
-        case Id(t, l, r):
-            _constants(t, acc), _constants(l, acc), _constants(r, acc)
-        case J(m, b, l, r, pr):
-            for sub in (m, b, l, r, pr):
-                _constants(sub, acc)
-        case Annot(t, ty):
-            _constants(t, acc), _constants(ty, acc)
-    return acc
-
 
 _RESERVED = {"def", "postulate", "fst", "snd", "refl", "J", "Id"}
 
@@ -310,9 +271,9 @@ def _fresh(hint: str, avoid: set) -> str:
 def pretty_print(term: Term, names: list) -> str:
     """Render `term` in surface syntax; `names` gives the enclosing binders,
     innermost last."""
-    if not validate(term, len(names)):
+    avoid = set(names)
+    if not _constants(term, len(names), avoid):
         raise MalformedTermError("pretty_print: term is not well scoped")
-    avoid = set(names) | _constants(term, set())
     return _pp(term, list(names), avoid, 0)
 
 
@@ -366,8 +327,7 @@ def _pp(term: Term, names: list, avoid: set, prec: int) -> str:
         case Refl(p):
             return wrap(f"refl {_pp(p, names, avoid, 2)}", 1)
         case J(m, b, l, r, pr, hints):
-            hx, hy, hp = hints[:3] if len(hints) >= 3 else ("x", "y", "p")
-            bx = hints[3] if len(hints) > 3 else hx
+            hx, hy, hp, bx = hints
             x = _fresh(hx, avoid)
             y = _fresh(hy, avoid | {x})
             p = _fresh(hp, avoid | {x, y})

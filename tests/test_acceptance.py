@@ -2,13 +2,10 @@
 line.  Run with `pytest -s tests/test_acceptance.py` to see the lines."""
 
 import itertools
-import json
 import shutil
-import sys
-import threading
 import time
 
-import pytest
+from conftest import run_deep
 
 from utk import cli
 from utk import corpuscheck as C
@@ -18,33 +15,13 @@ from utk import parser as P
 from utk import syntax as S
 from utk.model.interval import ctx, dm_all
 
-sys.setrecursionlimit(400000)
-
 CORPUS_TIME_BUDGET = 120.0
 MODEL_TIME_BUDGET = 60.0
-
-
-def run_deep(fn):
-    result = {}
-
-    def work():
-        result["value"] = fn()
-
-    threading.stack_size(512 * 1024 * 1024)
-    t = threading.Thread(target=work)
-    t.start()
-    t.join()
-    return result["value"]
 
 
 def report_line(criterion: str, ok: bool):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'}")
     assert ok, criterion
-
-
-@pytest.fixture(scope="module")
-def checked_corpus():
-    return run_deep(lambda: C.check_corpus())
 
 
 def test_criterion_1_corpus_completeness(checked_corpus):
@@ -100,22 +77,16 @@ def test_criterion_2_mutation_sensitivity(tmp_path):
     report_line(f"2 mutation sensitivity ({detected}/5)", detected == 5)
 
 
-def test_criterion_3_kernel_properties(checked_corpus):
+def test_criterion_3_kernel_properties(checked_corpus, corpus_normal_forms):
     core, scope, report = checked_corpus
     assert report.ok
 
     def run():
-        for decl in core:
-            if decl.body is None:
-                continue
-            annotated = S.Annot(decl.body, decl.type)
-            nf = K.normalize(scope, [], annotated)
-            if K.normalize(scope, [], S.Annot(nf, decl.type)) != nf:
-                return f"normalize not idempotent at {decl.name}"
-            try:
-                K.check(scope, [], nf, decl.type)
-            except K.KernelError as exc:
-                return f"normal form of {decl.name} fails to re-check: {exc}"
+        for name, idempotent, error in corpus_normal_forms:
+            if not idempotent:
+                return f"normalize not idempotent at {name}"
+            if error is not None:
+                return f"normal form of {name} fails to re-check: {error}"
         decl = next(d for d in core if d.name == "coerce_refl")
         nf = K.normalize(scope, [], S.Annot(decl.body, decl.type))
         if nf != S.Lambda(S.Lambda(S.Var(0))):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import utk
 from utk import cli
 from utk import corpuscheck as C
@@ -35,6 +37,18 @@ def test_check_failure_exit_code(tmp_path, capsys):
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "no/such/file.tt")
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["normalize", "no/such/file.tt", "--def", "f"],
+    ["corpus", "--dir", "no/such/dir"],
+    ["model-selftest", "--fixtures", "no/such/fixtures.txt"],
+])
+def test_missing_input_is_a_usage_error(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "no/such" in err
 
 
 def test_check_syntax_error(tmp_path, capsys):

@@ -3,10 +3,10 @@ complete, deleting axioms breaks downstream theorems, and the kernel
 invariants hold on every corpus declaration."""
 
 import shutil
-import sys
-import threading
 
 import pytest
+
+from conftest import run_deep
 
 from utk import corpuscheck as C
 from utk import elab as E
@@ -14,51 +14,30 @@ from utk import kernel as K
 from utk import parser as P
 from utk import syntax as S
 
-sys.setrecursionlimit(400000)
 
-
-def run_deep(fn):
-    """Run with a large stack; proof checking recurses deeply."""
-    result = {}
-
-    def work():
-        result["value"] = fn()
-
-    threading.stack_size(512 * 1024 * 1024)
-    t = threading.Thread(target=work)
-    t.start()
-    t.join()
-    return result["value"]
-
-
-@pytest.fixture(scope="module")
-def checked():
-    return run_deep(lambda: C.check_corpus())
-
-
-def test_corpus_checks(checked):
-    core, scope, report = checked
+def test_corpus_checks(checked_corpus):
+    core, scope, report = checked_corpus
     assert report.ok, report.summary()
     assert len(core) > 100
 
 
-def test_theorem_map_verifies(checked):
-    core, scope, report = checked
+def test_theorem_map_verifies(checked_corpus):
+    core, scope, report = checked_corpus
     tmap = C.load_theorem_map()
     result = run_deep(lambda: C.verify_corpus(scope, tmap))
     assert result.ok, result.summary()
 
 
-def test_theorem_map_missing_identifier(checked):
-    _, scope, _ = checked
+def test_theorem_map_missing_identifier(checked_corpus):
+    _, scope, _ = checked_corpus
     tmap = C.TheoremMap([C.TheoremEntry("no_such_thing", "nowhere", "U1")])
     result = C.verify_corpus(scope, tmap)
     assert not result.ok
     assert "missing theorem" in result.entries[0].error
 
 
-def test_theorem_map_shape_mismatch(checked):
-    _, scope, _ = checked
+def test_theorem_map_shape_mismatch(checked_corpus):
+    _, scope, _ = checked_corpus
     tmap = C.TheoremMap([C.TheoremEntry("coerce_refl", "anchor", "(A : U1) -> A -> A")])
     result = C.verify_corpus(scope, tmap)
     assert not result.ok
@@ -121,39 +100,29 @@ def test_mutation_star_body_names_theorem(tmp_path):
 # Kernel invariants over the corpus
 
 
-def test_normalize_idempotent_and_type_preserving(checked):
-    core, scope, _ = checked
-
-    def run():
-        for decl in core:
-            if decl.body is None:
-                continue
-            annotated = S.Annot(decl.body, decl.type)
-            nf = K.normalize(scope, [], annotated)
-            assert K.normalize(scope, [], S.Annot(nf, decl.type)) == nf, decl.name
-            K.check(scope, [], nf, decl.type)
-        return True
-
-    assert run_deep(run)
+def test_normalize_idempotent_and_type_preserving(corpus_normal_forms):
+    for name, idempotent, error in corpus_normal_forms:
+        assert idempotent, name
+        assert error is None, f"{name}: {error}"
 
 
-def test_coerce_refl_normalizes_to_identity(checked):
-    core, scope, _ = checked
+def test_coerce_refl_normalizes_to_identity(checked_corpus):
+    core, scope, _ = checked_corpus
     decl = next(d for d in core if d.name == "coerce_refl")
     nf = run_deep(lambda: K.normalize(scope, [], S.Annot(decl.body, decl.type)))
     assert nf == S.Lambda(S.Lambda(S.Var(0)))
 
 
-def test_coerce_along_refl_is_identity(checked):
-    _, scope, _ = checked
+def test_coerce_along_refl_is_identity(checked_corpus):
+    _, scope, _ = checked_corpus
     ctx = [("A", S.universe(0)), ("a", S.Var(0))]
     tm = E.elab_term(P.parse_term("coerce A A (refl A) a"), ["A", "a"],
                      scope.entries.keys())
     assert K.normalize(scope, ctx, tm) == S.Var(0)
 
 
-def test_checker_deterministic(checked):
-    core, _, _ = checked
+def test_checker_deterministic(checked_corpus):
+    core, _, _ = checked_corpus
     _, scope2, report2 = run_deep(lambda: C.check_corpus())
     assert report2.ok
     nf1 = {}
@@ -168,10 +137,10 @@ def test_checker_deterministic(checked):
         assert K.normalize(scope3, [], S.Annot(d.body, d.type)) == nf1[d.name]
 
 
-def test_convertible_equivalence_and_congruence(checked):
+def test_convertible_equivalence_and_congruence(checked_corpus):
     # reflexive, symmetric, transitive and a congruence on sampled corpus
     # subterms at their types
-    core, scope, _ = checked
+    core, scope, _ = checked_corpus
     samples = []
     for d in core:
         if d.body is not None and len(samples) < 12:
@@ -193,8 +162,8 @@ def test_convertible_equivalence_and_congruence(checked):
     assert K.convertible(scope, ctx2, fa, ga, S.Var(1))
 
 
-def test_roundtrip_parse_pretty_print(checked):
-    core, scope, _ = checked
+def test_roundtrip_parse_pretty_print(checked_corpus):
+    core, scope, _ = checked_corpus
     constants = scope.entries.keys()
     for decl in core:
         printed = S.pretty_print(decl.type, [])
@@ -206,6 +175,6 @@ def test_roundtrip_parse_pretty_print(checked):
             assert again == decl.body, decl.name
 
 
-def test_corpus_accepted_by_check_program(checked):
-    core, _, _ = checked
+def test_corpus_accepted_by_check_program(checked_corpus):
+    core, _, _ = checked_corpus
     run_deep(lambda: K.check_program(core))

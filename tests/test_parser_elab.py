@@ -118,6 +118,11 @@ def test_pretty_print_rejects_ill_scoped_terms():
         S.pretty_print(Var(0), [])
     with pytest.raises(S.MalformedTermError):
         S.pretty_print(Lambda(Var(2)), [])
+    # an annotation's type is never printed, but is scope-checked
+    with pytest.raises(S.MalformedTermError, match="^pretty_print: term is not well scoped$"):
+        S.pretty_print(S.Annot(Star(), Var(0)), [])
+    with pytest.raises(S.MalformedTermError, match=r"^not a term: Hole\(line=5, col=6"):
+        S.pretty_print(Lambda(S.Hole(5, 6)), [])
 
 
 def test_normal_forms_stay_well_scoped():

@@ -1,0 +1,75 @@
+"""The subterm table that every structural walk of core terms reads."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+import typing
+from pathlib import Path
+
+import utk
+from utk import elab as E
+from utk import syntax as S
+from utk.syntax import Apply, Constant, Hole, Lambda, Pair, Pi, Var
+
+BINDERS = {
+    (S.Pi, "codomain"): 1, (S.Lambda, "body"): 1, (S.Sigma, "second"): 1,
+    (S.J, "motive"): 3, (S.J, "base"): 1,
+}
+
+
+def test_table_lists_exactly_the_term_fields_of_each_former():
+    formers = typing.get_args(S.Term)
+    assert set(S.SUBTERMS) | set(S.LEAVES) == set(formers)
+    for cls in formers:
+        hints = typing.get_type_hints(cls, vars(S))
+        term_fields = tuple(f.name for f in dataclasses.fields(cls)
+                            if hints[f.name] == S.Term)
+        if cls in S.LEAVES:
+            assert cls not in S.SUBTERMS and term_fields == (), cls
+            continue
+        assert tuple(name for name, _ in S.SUBTERMS[cls]) == term_fields, cls
+        for name, binds in S.SUBTERMS[cls]:
+            assert binds == BINDERS.get((cls, name), 0), (cls, name)
+
+
+def test_zonk_returns_a_hole_free_term_itself():
+    term = Pi(Apply(Constant("c"), Var(0)), Lambda(Pair(Var(0), Var(1))))
+    assert E._zonk(term) is term
+
+
+def test_zonk_shares_the_hole_free_siblings_of_a_solved_hole():
+    left = Apply(Constant("f"), Var(0))
+    zonked = E._zonk(Lambda(Pair(left, Hole(1, 1, S.STAR))))
+    assert zonked == Lambda(Pair(left, S.STAR))
+    assert zonked.body.fst is left
+
+
+DEEP_WALKS = textwrap.dedent("""
+    import sys
+    sys.setrecursionlimit(200000)
+    from utk import elab as E, syntax as S
+
+    n = 20000
+    term = S.Hole(solution=S.Var(0))
+    for _ in range(n):
+        term = S.Apply(S.Constant("f"), term)
+    zonked = E._zonk(term)
+    assert S.validate(zonked, 1) and not S.validate(zonked, 0)
+    assert E._zonk(zonked) is zonked
+    shifted = S.shift(zonked, 1)
+    text = S.pretty_print(shifted, ["a", "b"])
+    assert text == "f (" * (n - 1) + "f a" + ")" * (n - 1)
+    print("ok")
+""")
+
+
+def test_walks_of_a_deep_term_run_on_the_main_thread():
+    """No walk may nest C frames per level: with only the recursion limit
+    raised, a 20000-deep chain must not overflow the main thread's stack."""
+    src = str(Path(utk.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", DEEP_WALKS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "ok"
