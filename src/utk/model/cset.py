@@ -9,12 +9,13 @@ De Morgan element over J, and carries I-cells to J-cells.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .interval import (
     DM, Face, ModelError, ctx_sorted, dm_all, dm_basic, dm_const, dm_join,
-    dm_meet, dm_neg, dm_subst, dm_sym, face_bot, face_of_eq, face_or, face_top,
+    dm_meet, dm_neg, dm_show, dm_subst, dm_sym, face_bot, face_of_eq, face_or,
+    face_top,
 )
 
 CANONICAL_DIMS = ("i", "j", "k")
@@ -24,26 +25,32 @@ class ElementNotInObjectError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
 class CubeMap:
-    """A substitution from cells over `src` to cells over `dst`."""
+    """A substitution from cells over `src` to cells over `dst`.  Maps are
+    interned by value: `make` is the one constructor, so equal maps are the
+    same object and compare and hash by identity."""
 
-    src: frozenset
-    dst: frozenset
-    assign: tuple  # sorted tuple of (symbol, DM over dst)
+    __slots__ = ("src", "dst", "assign", "assignment")
 
-    @property
-    def assignment(self) -> dict:
-        return dict(self.assign)
+    def __repr__(self):
+        head = " -> ".join(",".join(ctx_sorted(c)) or "()" for c in (self.src, self.dst))
+        body = ", ".join(f"{n}:={dm_show(e)}" for n, e in self.assign)
+        return f"CubeMap({head}: {body})" if body else f"CubeMap({head})"
 
     @staticmethod
     def make(src: frozenset, dst: frozenset, mapping: dict) -> "CubeMap":
-        if set(mapping) != set(src):
+        if mapping.keys() != src:
             raise ModelError(f"assignment keys {sorted(mapping)} differ from {sorted(src)}")
-        for e in mapping.values():
-            if e.ctx != dst:
+        names = ctx_sorted(src)
+        key = (src, dst, tuple(mapping[n] for n in names))
+        f = _MAPS.get(key)
+        if f is None:
+            if any(e.ctx != dst for e in key[2]):
                 raise ModelError("assignment element over the wrong context")
-        return CubeMap(src, dst, tuple(sorted(mapping.items())))
+            f = _MAPS[key] = object.__new__(CubeMap)
+            f.src, f.dst, f.assign = src, dst, tuple(zip(names, key[2]))
+            f.assignment = MappingProxyType(dict(f.assign))  # shared, so read-only
+        return f
 
     @staticmethod
     def identity(context: frozenset) -> "CubeMap":
@@ -51,12 +58,14 @@ class CubeMap:
                             {n: dm_sym(context, n) for n in context})
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def weaken(src: frozenset, dst: frozenset) -> "CubeMap":
         if not src <= dst:
             raise ModelError("weakening requires an inclusion")
         return CubeMap.make(src, dst, {n: dm_sym(dst, n) for n in src})
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def face(src: frozenset, clause) -> "CubeMap":
         """Kill the dimensions of `clause` (pairs (symbol, endpoint))."""
         fixed = dict(clause)
@@ -77,8 +86,10 @@ class CubeMap:
         return _apply_cached(self, r)
 
     def is_identity(self) -> bool:
-        return self.src == self.dst and all(
-            e == dm_sym(self.dst, n) for n, e in self.assign)
+        return self.src == self.dst and self is CubeMap.identity(self.src)
+
+
+_MAPS = {}  # (src, dst, components in sorted symbol order) -> CubeMap
 
 
 @lru_cache(maxsize=None)
@@ -92,6 +103,7 @@ def _apply_cached(f: CubeMap, r: DM) -> DM:
     return dm_subst(r, f.assignment, f.dst)
 
 
+@lru_cache(maxsize=None)
 def extend_clause_map(f: CubeMap, extra: str) -> CubeMap:
     """Extend a map by an untouched dimension (used to push face maps under a
     path direction)."""
@@ -456,33 +468,26 @@ def _map_pool(dst: frozenset) -> list:
     symbol, else constants, literals and the two connections."""
     if len(dst) <= 1:
         return list(dm_all(dst))
-    pool = {}
-    for e in (dm_const(dst, 0), dm_const(dst, 1)):
-        pool[e.table] = e
     lits = []
     for n in ctx_sorted(dst):
         lits.append(dm_sym(dst, n))
         lits.append(dm_neg(dm_sym(dst, n)))
-    for e in lits:
-        pool[e.table] = e
+    pool = dict.fromkeys((dm_const(dst, 0), dm_const(dst, 1), *lits))
     pos = [dm_sym(dst, n) for n in ctx_sorted(dst)]
     for a, b in itertools.combinations(pos, 2):
-        pool.setdefault(dm_meet(a, b).table, dm_meet(a, b))
-        pool.setdefault(dm_join(a, b).table, dm_join(a, b))
-    return list(pool.values())
+        pool.update(dict.fromkeys((dm_meet(a, b), dm_join(a, b))))
+    return list(pool)
 
 
-def enumerate_maps(src: frozenset, dst: frozenset) -> list:
+@lru_cache(maxsize=None)
+def enumerate_maps(src: frozenset, dst: frozenset) -> tuple:
     """Cube maps src -> dst with components from a representative pool: the
     whole free algebra when dst has at most one symbol, else constants,
     literals and connections (covering faces, degeneracies, symmetries,
     reversals and connection squares)."""
-    pool = _map_pool(dst)
     names = ctx_sorted(src)
-    out = []
-    for values in itertools.product(pool, repeat=len(names)):
-        out.append(CubeMap.make(src, dst, dict(zip(names, values))))
-    return out
+    return tuple(CubeMap.make(src, dst, dict(zip(names, values)))
+                 for values in itertools.product(_map_pool(dst), repeat=len(names)))
 
 
 def restrict_element(X, f: CubeMap, x):
@@ -527,21 +532,26 @@ def validate_cset(X, max_dim: int = 2, max_points: int = 24,
         pts = points(src)
         if not pts:
             continue
+        direct = {}  # (fg, point index) -> restriction of the point along fg
         for mid in contexts:
             maps1 = enumerate_maps(src, mid)
             for dst in contexts:
                 maps2 = enumerate_maps(mid, dst)
                 count = 0
                 for f in maps1:
+                    along_f = {}  # point index -> restriction along f
                     for g in maps2:
                         count += 1
                         if count > max_pairs:
                             break
                         fg = f.then(g)
-                        for x in pts:
-                            via = restrict_element(X, g, restrict_element(X, f, x))
-                            direct = restrict_element(X, fg, x)
-                            if via != direct:
+                        for k, x in enumerate(pts):
+                            if k not in along_f:
+                                along_f[k] = restrict_element(X, f, x)
+                            via = restrict_element(X, g, along_f[k])
+                            if (fg, k) not in direct:
+                                direct[fg, k] = restrict_element(X, fg, x)
+                            if via != direct[fg, k]:
                                 violations.append(("composition", src, mid, dst, f, g, x))
                     if count > max_pairs:
                         break

@@ -63,11 +63,26 @@ def corpus_normal_forms(checked_corpus):
 
 @pytest.fixture(scope="session")
 def model_report():
-    """One dim-2 self-test run for every test that reads its report; the
-    run's wall time is kept in `elapsed` for the time budget."""
-    t0 = time.time()
-    report = ST.run(max_dim=2)
-    report.elapsed = time.time() - t0
+    """One dim-2 self-test run for every test that reads its report.  The
+    run's wall time is kept in `elapsed` for the time budget, and the number
+    of problems `selftest.enumerate_problems` yielded in `problems`."""
+    original = ST.enumerate_problems
+    problems = 0
+
+    def counting(*args, **kwargs):
+        nonlocal problems
+        for problem in original(*args, **kwargs):
+            problems += 1
+            yield problem
+
+    ST.enumerate_problems = counting
+    try:
+        t0 = time.time()
+        report = ST.run(max_dim=2)
+        report.elapsed = time.time() - t0
+    finally:
+        ST.enumerate_problems = original
+    report.problems = problems
     return report
 
 

@@ -9,9 +9,7 @@ from conftest import run_deep
 
 from utk import cli
 from utk import corpuscheck as C
-from utk import elab as E
 from utk import kernel as K
-from utk import parser as P
 from utk import syntax as S
 from utk.model.interval import ctx, dm_all
 

@@ -1,4 +1,6 @@
 from utk.model import cset as CS
+from utk.model import selftest as ST
+from utk.report import Report
 from utk.model.interval import ctx, dm_const, dm_meet, dm_neg, dm_sym, dm_eq
 
 I = ctx("i")
@@ -52,14 +54,35 @@ def test_validate_product_and_total():
     assert CS.validate_cset(CS.IntervalFamily(CS.PointCSet()), max_dim=2) == []
 
 
-def test_validate_catches_corruption():
+def corrupted_cset():
+    """A discrete cset whose face i := 0 wrongly sends a to b."""
     face = CS.CubeMap.face(I, frozenset({("i", 0)}))
-    bad = CS.TabularCSet({E: ["a", "b"], I: ["a", "b"],
-                          IJ: ["a", "b"],
-                          frozenset({"j"}): ["a", "b"]},
-                         action={(face, "a"): "b"})
-    violations = CS.validate_cset(bad, max_dim=2)
+    return CS.TabularCSet({E: ["a", "b"], I: ["a", "b"],
+                           IJ: ["a", "b"],
+                           frozenset({"j"}): ["a", "b"]},
+                          action={(face, "a"): "b"})
+
+
+def test_validate_catches_corruption():
+    violations = CS.validate_cset(corrupted_cset(), max_dim=2)
     assert violations
+
+
+def test_cubemap_repr_shows_components():
+    J = ctx("j")
+    f = CS.CubeMap.make(IJ, J, {"i": dm_const(J, 0), "j": dm_sym(J, "j")})
+    assert repr(f) == "CubeMap(i,j -> j: i:=0, j:=j)"
+    conn = CS.CubeMap.make(I, IJ, {"i": dm_meet(dm_sym(IJ, "i"), dm_neg(dm_sym(IJ, "j")))})
+    assert repr(conn) == "CubeMap(i -> i,j: i:=(i /\\ ~j))"
+    assert repr(CS.CubeMap.identity(E)) == "CubeMap(() -> ())"
+
+
+def test_corruption_report_names_the_map():
+    report = Report()
+    ST._run_check(report, "functor-laws/corrupt",
+                  lambda: CS.validate_cset(corrupted_cset(), max_dim=2))
+    assert not report.ok
+    assert "CubeMap(i -> (): i:=0)" in report.entries[0].error
 
 
 def test_functoriality_degeneracy_then_face():

@@ -2,7 +2,7 @@ from utk.model import cset as CS
 from utk.model import fib as FB
 from utk.model import fixtures as FX
 from utk.model.interval import (
-    ctx, dm_all, dm_const, dm_eq, dm_meet, dm_neg, dm_sym, face_bot,
+    ctx, dm_const, dm_eq, dm_meet, dm_neg, dm_sym, face_bot,
     face_eq_sym, face_or, face_top,
 )
 

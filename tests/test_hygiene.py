@@ -1,4 +1,4 @@
-"""Source hygiene of the `utk` package."""
+"""Source hygiene of the `utk` package and its tests."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import utk
 
 PACKAGE = Path(utk.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -23,8 +24,9 @@ def _unused_imports(tree: ast.Module) -> list:
 
 def test_every_imported_name_is_used():
     unused = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        names = _unused_imports(ast.parse(path.read_text(), str(path)))
-        if names:
-            unused[str(path.relative_to(PACKAGE))] = names
+    for root, paths in ((PACKAGE, PACKAGE.rglob("*.py")), (TESTS, TESTS.glob("*.py"))):
+        for path in sorted(paths):
+            names = _unused_imports(ast.parse(path.read_text(), str(path)))
+            if names:
+                unused[f"{root.name}/{path.relative_to(root)}"] = names
     assert unused == {}

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from utk.model import interval as IV
+from utk.model.cset import CubeMap
 from utk.model.interval import (
-    DM, Face, ctx, dm_all, dm_basic, dm_const, dm_eq, dm_is_const, dm_join,
+    GEN, ctx, dm_all, dm_basic, dm_const, dm_eq, dm_is_const, dm_join,
     dm_meet, dm_neg, dm_subst, dm_sym, face_and, face_bot, face_eq_sym,
-    face_forall, face_of_eq, face_or, face_subst_clause, face_top,
+    face_forall, face_of_eq, face_or, face_subst_clause, face_top, face_weaken,
 )
 
 I = ctx("i")
@@ -110,9 +111,9 @@ def test_excluded_middle_fails():
     lhs = dm_join(i, dm_neg(i))
     one = dm_const(I, 1)
     assert not dm_eq(lhs, one)
-    # the witnessing valuation, read off the table directly
+    # the witnessing valuation, read off the packed table's 2-bit digit
     idx = list(itertools.product((0, 1, 2, 3), repeat=1)).index((1,))
-    assert lhs.table[idx] == 1 and one.table[idx] == 3
+    assert (lhs.table >> 2 * idx) & 3 == 1 and (one.table >> 2 * idx) & 3 == 3
 
 
 def test_context_mismatch_raises():
@@ -302,3 +303,131 @@ def test_dm_show_is_the_normal_form():
     assert IV.dm_show(dm_join(i, dm_meet(i, j))) == "i"
     assert IV.dm_show(dm_neg(dm_meet(i, j))) == "(~i \\/ ~j)"
     assert repr(dm_join(dm_meet(i, dm_neg(i)), j)) == "DM((j \\/ (i /\\ ~i)))"
+
+
+# ---------------------------------------------------------------------------
+# The packed encodings against references written out here.  An element
+# packs its DM4 value at the k-th valuation (itertools.product order) into
+# bits 2k and 2k + 1; a face sets bit k for the k-th satisfying {0, 1,
+# generic} valuation in the same order.  DM4 is the diamond 0 < 1, 2 < 3
+# with 1 and 2 the fixed points of the involution.
+
+MEET4 = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
+JOIN4 = ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3))
+NEG4 = (3, 1, 2, 0)
+
+
+def dm4_digits(x):
+    size = 4 ** len(x.ctx)
+    assert 0 <= x.table < 4 ** size  # no bits beyond the last valuation
+    return [(x.table >> 2 * k) & 3 for k in range(size)]
+
+
+@pytest.mark.parametrize("context", CONTEXTS, ids=len)
+def test_packed_algebra_matches_dm4_tables(context):
+    rng = random.Random(20 + len(context))
+    names = sorted(context)
+    for k, name in enumerate(names):
+        assert dm4_digits(dm_sym(context, name)) == [
+            v[k] for v in itertools.product(range(4), repeat=len(names))]
+    for _ in range(200):
+        x = tree_dm(random_tree(rng, names, 3), context)
+        y = tree_dm(random_tree(rng, names, 3), context)
+        dx, dy = dm4_digits(x), dm4_digits(y)
+        assert dm4_digits(dm_meet(x, y)) == [MEET4[u][v] for u, v in zip(dx, dy)]
+        assert dm4_digits(dm_join(x, y)) == [JOIN4[u][v] for u, v in zip(dx, dy)]
+        assert dm4_digits(dm_neg(x)) == [NEG4[u] for u in dx]
+
+
+def face_valuations(names):
+    return list(itertools.product((0, 1, GEN), repeat=len(names)))
+
+
+def face_set(a):
+    """The satisfying valuations a face's bitmask stands for."""
+    return frozenset(v for k, v in enumerate(face_valuations(sorted(a.ctx)))
+                     if a.sat >> k & 1)
+
+
+def random_face(rng, context, depth):
+    """A random face built with the face operations, with the set of
+    valuations that satisfy it, computed on sets."""
+    names = sorted(context)
+    every = frozenset(face_valuations(names))
+    if depth == 0 or rng.random() < 0.3:
+        pick = rng.randrange(3 if names else 2)
+        if pick == 0:
+            return face_top(context), every
+        if pick == 1:
+            return face_bot(context), frozenset()
+        k, e = rng.randrange(len(names)), rng.randint(0, 1)
+        return (face_eq_sym(context, names[k], e),
+                frozenset(v for v in every if v[k] == e))
+    (a, sa), (b, sb) = (random_face(rng, context, depth - 1) for _ in range(2))
+    if rng.random() < 0.5:
+        return face_and(a, b), sa & sb
+    return face_or(a, b), sa | sb
+
+
+def ref_forall(sat, names, name):
+    k = names.index(name)
+    return frozenset(v for v in face_valuations(names[:k] + names[k + 1:])
+                     if all(v[:k] + (inst,) + v[k:] in sat for inst in (0, 1, GEN)))
+
+
+def ref_weaken(sat, names, target):
+    tnames = sorted(target)
+    return frozenset(w for w in face_valuations(tnames)
+                     if tuple(w[tnames.index(n)] for n in names) in sat)
+
+
+def ref_subst_clause(sat, names, clause):
+    fixed = dict(clause)
+    rest = [n for n in names if n not in fixed]
+    return frozenset(v for v in face_valuations(rest)
+                     if tuple({**dict(zip(rest, v)), **fixed}[n] for n in names) in sat)
+
+
+def ref_clauses(sat, names):
+    # minimal valuations, a generic coordinate being below both endpoints
+    return {frozenset((n, e) for n, e in zip(names, v) if e != GEN)
+            for v in sat
+            if not any(w != v and all(wi in (GEN, vi) for wi, vi in zip(w, v))
+                       for w in sat)}
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_face_bitmasks_match_valuation_sets(n):
+    context = ctx(*"ijk"[:n])
+    names = sorted(context)
+    every = frozenset(face_valuations(names))
+    rng = random.Random(30 + n)
+    for _ in range(150):
+        (a, sa), (b, sb) = (random_face(rng, context, 3) for _ in range(2))
+        assert face_set(a) == sa
+        assert face_set(face_and(a, b)) == sa & sb
+        assert face_set(face_or(a, b)) == sa | sb
+        assert a.entails(b) == (sa <= sb)
+        assert a.is_top == (sa == every) and a.is_bot == (not sa)
+        assert set(a.clauses()) == ref_clauses(sa, names)
+        assert list(a.clauses()) == sorted(a.clauses(), key=sorted)
+        for name in names:
+            assert face_set(face_forall(a, name)) == ref_forall(sa, names, name)
+        for extra in ("l", "lm"):
+            target = context | set(extra)
+            assert face_set(face_weaken(a, target)) == ref_weaken(sa, names, target)
+        clause = frozenset((m, rng.randint(0, 1)) for m in names if rng.random() < 0.5)
+        assert face_set(face_subst_clause(a, clause)) == ref_subst_clause(sa, names, clause)
+
+
+def test_equal_values_are_the_same_object():
+    i, j = dm_sym(IJ, "i"), dm_sym(IJ, "j")
+    assert dm_meet(i, dm_join(i, j)) is i
+    assert dm_neg(dm_neg(j)) is j
+    assert dm_sym(ctx("j", "i"), "i") is i  # an equal context built anew
+    f = face_or(face_eq_sym(IJ, "i", 0), face_eq_sym(IJ, "j", 1))
+    assert face_or(face_eq_sym(IJ, "j", 1), face_eq_sym(IJ, "i", 0)) is f
+    m = CubeMap.make(IJ, I, {"i": dm_sym(I, "i"), "j": dm_const(I, 0)})
+    assert CubeMap.make(ctx("j", "i"), ctx("i"),
+                        {"j": dm_const(ctx("i"), 0), "i": dm_sym(ctx("i"), "i")}) is m
+    assert CubeMap.face(IJ, frozenset({("j", 0)})) is m

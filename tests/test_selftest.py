@@ -26,6 +26,12 @@ def test_selftest_never_aborts_early(model_report):
     assert len(model_report.entries) > 40
 
 
+def test_selftest_enumerates_every_problem(model_report):
+    # speed work must not prune cases: the dim-2 battery draws exactly this
+    # many composition problems
+    assert model_report.problems == 8182
+
+
 def test_selftest_rejects_bad_dimension():
     report = ST.run(max_dim=5)
     assert not report.ok
