@@ -10,7 +10,8 @@ glued neutral: its name and spine, plus its unfolding, computed when first
 needed.  Conversion compares two glued neutrals with the same head by their
 spines before it unfolds them, and `whnf` unfolds wherever a value's shape is
 matched.  Quoting unfolds every transparent definition, so normal forms do not
-depend on the gluing.
+depend on the gluing.  The hot paths dispatch on `__class__` with `is` tests,
+most frequent class first; no term or value class is subclassed.
 """
 
 from __future__ import annotations
@@ -243,48 +244,49 @@ class GlobalScope:
 
 
 def evaluate(scope: GlobalScope, env: tuple, term: Term) -> Value:
-    match term:
-        case Var(ix):
-            v = env[len(env) - 1 - ix]
-            return v.force() if v.__class__ is Lazy else v
-        case Universe(Level(i)):
-            return VUniverse(i)
-        case Pi(d, c, h):
-            return VPi(evaluate(scope, env, d), Closure(env, c, scope), h)
-        case Lambda(b, h):
-            return VLambda(Closure(env, b, scope), h)
-        case Apply(f, a):
-            return do_apply(evaluate(scope, env, f), delay(scope, env, a))
-        case Sigma(f, s, h):
-            return VSigma(evaluate(scope, env, f), Closure(env, s, scope), h)
-        case Pair(a, b):
-            return VPair(evaluate(scope, env, a), evaluate(scope, env, b))
-        case Fst(p):
-            return do_fst(evaluate(scope, env, p))
-        case Snd(p):
-            return do_snd(evaluate(scope, env, p))
-        case Unit():
-            return V_UNIT
-        case Star():
-            return V_STAR
-        case Id(t, l, r):
-            return VId(evaluate(scope, env, t), evaluate(scope, env, l), evaluate(scope, env, r))
-        case Refl(p):
-            return VRefl(evaluate(scope, env, p))
-        case J(m, b, l, r, pr, hints):
-            return do_j(
-                Closure(env, m, scope), Closure(env, b, scope),
-                evaluate(scope, env, l), evaluate(scope, env, r),
-                evaluate(scope, env, pr), hints,
-            )
-        case Constant(name):
-            if name not in scope:
-                raise UnboundConstantError(f"unbound constant: {name}")
-            return scope[name].value
-        case Annot(t, _):
-            return evaluate(scope, env, t)
-        case S.Hole(solution=sol) if sol is not None:
-            return evaluate(scope, env, sol)
+    cls = term.__class__
+    if cls is Var:
+        v = env[len(env) - 1 - term.ix]
+        return v.force() if v.__class__ is Lazy else v
+    if cls is Apply:
+        return do_apply(evaluate(scope, env, term.fn), delay(scope, env, term.arg))
+    if cls is Lambda:
+        return VLambda(Closure(env, term.body, scope), term.hint)
+    if cls is Pi:
+        return VPi(evaluate(scope, env, term.domain), Closure(env, term.codomain, scope), term.hint)
+    if cls is Id:
+        return VId(evaluate(scope, env, term.type), evaluate(scope, env, term.lhs),
+                   evaluate(scope, env, term.rhs))
+    if cls is Constant:
+        if term.name not in scope:
+            raise UnboundConstantError(f"unbound constant: {term.name}")
+        return scope[term.name].value
+    if cls is Sigma:
+        return VSigma(evaluate(scope, env, term.first), Closure(env, term.second, scope), term.hint)
+    if cls is Universe:
+        return VUniverse(term.level.index)
+    if cls is Fst:
+        return do_fst(evaluate(scope, env, term.pair))
+    if cls is Snd:
+        return do_snd(evaluate(scope, env, term.pair))
+    if cls is Pair:
+        return VPair(evaluate(scope, env, term.fst), evaluate(scope, env, term.snd))
+    if cls is Unit:
+        return V_UNIT
+    if cls is Refl:
+        return VRefl(evaluate(scope, env, term.point))
+    if cls is J:
+        return do_j(
+            Closure(env, term.motive, scope), Closure(env, term.base, scope),
+            evaluate(scope, env, term.lhs), evaluate(scope, env, term.rhs),
+            evaluate(scope, env, term.proof), term.hints,
+        )
+    if cls is Star:
+        return V_STAR
+    if cls is Annot:
+        return evaluate(scope, env, term.term)
+    if cls is S.Hole and term.solution is not None:
+        return evaluate(scope, env, term.solution)
     raise S.MalformedTermError(f"not a term: {term!r}")
 
 
@@ -317,50 +319,44 @@ def _extend(n: VNeutral, item) -> VNeutral:
 
 def _eliminate(v, item) -> Value:
     v = force(v)
-    match item:
-        case SApp(arg):
-            return do_apply(v, arg)
-        case SFst():
-            return do_fst(v)
-        case SSnd():
-            return do_snd(v)
+    if item.__class__ is SApp:
+        return do_apply(v, item.arg)
+    return do_fst(v) if item.__class__ is SFst else do_snd(v)
 
 
 def do_apply(fn: Value, arg) -> Value:
-    match fn:
-        case VLambda(clo):
-            return clo.apply(arg)
-        case VNeutral():
-            return _extend(fn, SApp(arg))
+    if fn.__class__ is VLambda:
+        clo = fn.closure
+        return evaluate(clo.scope, clo.env + (arg,), clo.body)
+    if fn.__class__ is VNeutral:
+        return _extend(fn, SApp(arg))
     raise KernelError(f"cannot apply non-function value {fn!r}")
 
 
 def do_fst(p: Value) -> Value:
-    match p:
-        case VPair(a, _):
-            return a
-        case VNeutral():
-            return _extend(p, SFst())
+    if p.__class__ is VPair:
+        return p.fst
+    if p.__class__ is VNeutral:
+        return _extend(p, SFst())
     raise KernelError(f"cannot project non-pair value {p!r}")
 
 
 def do_snd(p: Value) -> Value:
-    match p:
-        case VPair(_, b):
-            return b
-        case VNeutral():
-            return _extend(p, SSnd())
+    if p.__class__ is VPair:
+        return p.snd
+    if p.__class__ is VNeutral:
+        return _extend(p, SSnd())
     raise KernelError(f"cannot project non-pair value {p!r}")
 
 
 def do_j(motive: Closure, base: Closure, lhs: Value, rhs: Value, proof: Value,
          hints: tuple = ("x", "y", "p", "x")) -> Value:
     """J computes on refl, so a glued proof unfolds first."""
-    match whnf(proof):
-        case VRefl(_):
-            return base.apply(lhs)
-        case VNeutral() as stuck:
-            return _extend(stuck, SJ(motive, base, lhs, rhs, hints))
+    stuck = whnf(proof)
+    if stuck.__class__ is VRefl:
+        return base.apply(lhs)
+    if stuck.__class__ is VNeutral:
+        return _extend(stuck, SJ(motive, base, lhs, rhs, hints))
     raise KernelError(f"cannot eliminate non-path value {proof!r}")
 
 
@@ -374,46 +370,45 @@ def fresh(lvl: int, type_v: Value) -> VNeutral:
 
 
 def quote(d: int, value: Value, type_v: Value) -> Term:
-    match whnf(type_v):
-        case VPi(dom, cod, h):
-            x = fresh(d, dom)
-            return Lambda(quote(d + 1, do_apply(value, x), cod.apply(x)), hint=h if h != "_" else "x")
-        case VSigma(first, second, _):
-            a = do_fst(value)
-            return Pair(quote(d, a, first), quote(d, do_snd(value), second.apply(a)))
-        case VUnit():
-            return S.STAR
-        case VUniverse(_):
-            return quote_type(d, value)
-        case VId(ty, _, _):
-            match whnf(value):
-                case VRefl(point):
-                    return Refl(quote(d, point, ty))
-                case VNeutral() as n:
-                    return quote_neutral(d, n)[0]
-        case VNeutral():
-            match whnf(value):
-                case VNeutral() as n:
-                    return quote_neutral(d, n)[0]
+    ty = whnf(type_v)
+    cls = ty.__class__
+    if cls is VNeutral or cls is VId:
+        v = whnf(value)
+        if v.__class__ is VNeutral:
+            return quote_neutral(d, v)[0]
+        if v.__class__ is VRefl and cls is VId:
+            return Refl(quote(d, v.point, ty.type))
+    elif cls is VUniverse:
+        return quote_type(d, value)
+    elif cls is VPi:
+        x = fresh(d, ty.domain)
+        h = ty.hint
+        return Lambda(quote(d + 1, do_apply(value, x), ty.codomain.apply(x)), h if h != "_" else "x")
+    elif cls is VSigma:
+        a = do_fst(value)
+        return Pair(quote(d, a, ty.first), quote(d, do_snd(value), ty.second.apply(a)))
+    elif cls is VUnit:
+        return S.STAR
     raise KernelError(f"quote: value {value!r} does not fit type {type_v!r}")
 
 
 def quote_type(d: int, value: Value) -> Term:
-    match whnf(value):
-        case VUniverse(i):
-            return S.universe(i)
-        case VPi(dom, cod, h):
-            x = fresh(d, dom)
-            return Pi(quote_type(d, dom), quote_type(d + 1, cod.apply(x)), h)
-        case VSigma(first, second, h):
-            x = fresh(d, first)
-            return Sigma(quote_type(d, first), quote_type(d + 1, second.apply(x)), h)
-        case VUnit():
-            return S.UNIT
-        case VId(ty, lhs, rhs):
-            return Id(quote_type(d, ty), quote(d, lhs, ty), quote(d, rhs, ty))
-        case VNeutral() as n:
-            return quote_neutral(d, n)[0]
+    v = whnf(value)
+    cls = v.__class__
+    if cls is VNeutral:
+        return quote_neutral(d, v)[0]
+    if cls is VSigma:
+        x = fresh(d, v.first)
+        return Sigma(quote_type(d, v.first), quote_type(d + 1, v.second.apply(x)), v.hint)
+    if cls is VId:
+        return Id(quote_type(d, v.type), quote(d, v.lhs, v.type), quote(d, v.rhs, v.type))
+    if cls is VPi:
+        x = fresh(d, v.domain)
+        return Pi(quote_type(d, v.domain), quote_type(d + 1, v.codomain.apply(x)), v.hint)
+    if cls is VUniverse:
+        return S.universe(v.level)
+    if cls is VUnit:
+        return S.UNIT
     raise KernelError(f"quote_type: not a type value: {value!r}")
 
 
@@ -421,41 +416,35 @@ def quote_neutral(d: int, value: VNeutral):
     """Read back a rigid neutral; returns (term, type value of the whole
     spine)."""
     head = value.head
-    match head:
-        case VVar(lvl, ty):
-            term: Term = Var(d - 1 - lvl)
-        case VConst(name, ty):
-            term = Constant(name)
-    current: Value = neutral(head)
-    for item in value.spine:
-        match item, whnf(ty):
-            case SApp(arg), VPi(dom, cod, _):
-                term = Apply(term, quote(d, force(arg), dom))
-                ty = cod.apply(arg)
-                current = do_apply(current, arg)
-            case SFst(), VSigma(first, _, _):
-                term = Fst(term)
-                ty = first
-                current = do_fst(current)
-            case SSnd(), VSigma(first, second, _):
-                term = Snd(term)
-                ty = second.apply(do_fst(current))
-                current = do_snd(current)
-            case SJ(motive, base, lhs, rhs, hints), VId(a_ty, _, _):
-                x = fresh(d, a_ty)
-                y = fresh(d + 1, a_ty)
-                p = fresh(d + 2, VId(a_ty, x, y))
-                motive_t = quote_type(d + 3, motive.apply(x, y, p))
-                bx = fresh(d, a_ty)
-                base_t = quote(d + 1, base.apply(bx), motive.apply(bx, bx, VRefl(bx)))
-                term = J(
-                    motive_t, base_t,
-                    quote(d, lhs, a_ty), quote(d, rhs, a_ty), term, hints,
-                )
-                ty = motive.apply(lhs, rhs, current)
-                current = do_j(motive, base, lhs, rhs, current, hints)
-            case _:
-                raise KernelError(f"quote_neutral: ill-typed spine item {item!r} at {ty!r}")
+    spine = value.spine
+    term: Term = Var(d - 1 - head.lvl) if head.__class__ is VVar else Constant(head.name)
+    ty = head.type
+    for i, item in enumerate(spine):
+        t = whnf(ty)
+        cls, tcls = item.__class__, t.__class__
+        if cls is SApp and tcls is VPi:
+            term = Apply(term, quote(d, force(item.arg), t.domain))
+            ty = t.codomain.apply(item.arg)
+        elif cls is SFst and tcls is VSigma:
+            term = Fst(term)
+            ty = t.first
+        elif cls is SSnd and tcls is VSigma:
+            term = Snd(term)
+            ty = t.second.apply(do_fst(VNeutral(head, spine[:i])))
+        elif cls is SJ and tcls is VId:
+            a_ty, motive = t.type, item.motive
+            x, y = fresh(d, a_ty), fresh(d + 1, a_ty)
+            p = fresh(d + 2, VId(a_ty, x, y))
+            motive_t = quote_type(d + 3, motive.apply(x, y, p))
+            bx = fresh(d, a_ty)
+            base_t = quote(d + 1, item.base.apply(bx), motive.apply(bx, bx, VRefl(bx)))
+            term = J(
+                motive_t, base_t,
+                quote(d, item.lhs, a_ty), quote(d, item.rhs, a_ty), term, item.hints,
+            )
+            ty = motive.apply(item.lhs, item.rhs, VNeutral(head, spine[:i]))
+        else:
+            raise KernelError(f"quote_neutral: ill-typed spine item {item!r} at {ty!r}")
     return term, ty
 
 
@@ -490,36 +479,27 @@ def convert(d: int, v1: Value, v2: Value, type_v: Value, flex: bool = False) -> 
     if v1 is v2:
         return True
     type_v = whnf(type_v)
-    match type_v:
-        case VPi(dom, cod, _):
-            x = fresh(d, dom)
-            return convert(d + 1, do_apply(v1, x), do_apply(v2, x), cod.apply(x), flex)
-        case VSigma(first, second, _):
-            a1 = do_fst(v1)
-            if not convert(d, a1, do_fst(v2), first, flex):
-                return False
-            return convert(d, do_snd(v1), do_snd(v2), second.apply(a1), flex)
-        case VUnit():
-            return True
-        case VUniverse(_):
-            return convert_type(d, v1, v2, flex)
-        case VId(ty, _, _):
-            if _glued(v1) or _glued(v2):
-                return _convert_glued(d, v1, v2, flex, convert, type_v)
-            match v1, v2:
-                case VRefl(p1), VRefl(p2):
-                    return convert(d, p1, p2, ty, flex)
-                case VNeutral(), VNeutral():
-                    return convert_neutral(d, v1, v2, flex) is not None
-                case _:
-                    return False
-        case VNeutral():
-            if _glued(v1) or _glued(v2):
-                return _convert_glued(d, v1, v2, flex, convert, type_v)
-            match v1, v2:
-                case VNeutral(), VNeutral():
-                    return convert_neutral(d, v1, v2, flex) is not None
+    cls = type_v.__class__
+    if cls is VNeutral or cls is VId:
+        if _glued(v1) or _glued(v2):
+            return _convert_glued(d, v1, v2, flex, convert, type_v)
+        if v1.__class__ is VNeutral and v2.__class__ is VNeutral:
+            return convert_neutral(d, v1, v2, flex) is not None
+        if v1.__class__ is VRefl and v2.__class__ is VRefl and cls is VId:
+            return convert(d, v1.point, v2.point, type_v.type, flex)
+        return False
+    if cls is VUniverse:
+        return convert_type(d, v1, v2, flex)
+    if cls is VPi:
+        x = fresh(d, type_v.domain)
+        return convert(d + 1, do_apply(v1, x), do_apply(v2, x), type_v.codomain.apply(x), flex)
+    if cls is VSigma:
+        a1 = do_fst(v1)
+        if not convert(d, a1, do_fst(v2), type_v.first, flex):
             return False
+        return convert(d, do_snd(v1), do_snd(v2), type_v.second.apply(a1), flex)
+    if cls is VUnit:
+        return True
     raise KernelError(f"convert: not a type value: {type_v!r}")
 
 
@@ -528,75 +508,79 @@ def convert_type(d: int, t1: Value, t2: Value, flex: bool = False) -> bool:
         return True
     if _glued(t1) or _glued(t2):
         return _convert_glued(d, t1, t2, flex, convert_type)
-    match t1, t2:
-        case VUniverse(i), VUniverse(j):
-            return i == j
-        case VPi(d1, c1, _), VPi(d2, c2, _):
-            if not convert_type(d, d1, d2, flex):
-                return False
-            x = fresh(d, d1)
-            return convert_type(d + 1, c1.apply(x), c2.apply(x), flex)
-        case VSigma(f1, s1, _), VSigma(f2, s2, _):
-            if not convert_type(d, f1, f2, flex):
-                return False
-            x = fresh(d, f1)
-            return convert_type(d + 1, s1.apply(x), s2.apply(x), flex)
-        case VUnit(), VUnit():
-            return True
-        case VId(a1, l1, r1), VId(a2, l2, r2):
-            return (
-                convert_type(d, a1, a2, flex)
-                and convert(d, l1, l2, a1, flex)
-                and convert(d, r1, r2, a1, flex)
-            )
-        case VNeutral(), VNeutral():
-            return convert_neutral(d, t1, t2, flex) is not None
-    return False
+    cls = t1.__class__
+    if cls is not t2.__class__:
+        return False
+    if cls is VNeutral:
+        return convert_neutral(d, t1, t2, flex) is not None
+    if cls is VId:
+        a1 = t1.type
+        return (
+            convert_type(d, a1, t2.type, flex)
+            and convert(d, t1.lhs, t2.lhs, a1, flex)
+            and convert(d, t1.rhs, t2.rhs, a1, flex)
+        )
+    if cls is VSigma:
+        if not convert_type(d, t1.first, t2.first, flex):
+            return False
+        x = fresh(d, t1.first)
+        return convert_type(d + 1, t1.second.apply(x), t2.second.apply(x), flex)
+    if cls is VUniverse:
+        return t1.level == t2.level
+    if cls is VPi:
+        if not convert_type(d, t1.domain, t2.domain, flex):
+            return False
+        x = fresh(d, t1.domain)
+        return convert_type(d + 1, t1.codomain.apply(x), t2.codomain.apply(x), flex)
+    return cls is VUnit
 
 
 def convert_neutral(d: int, n1: VNeutral, n2: VNeutral, flex: bool = False) -> Optional[Value]:
     """Compare two neutrals by head and spine; on success return the type of
-    the common spine."""
-    match n1.head, n2.head:
-        case VVar(l1, ty), VVar(l2, _):
-            if l1 != l2:
-                return None
-        case VConst(c1, ty), VConst(c2, _):
-            if c1 != c2:
-                return None
-        case _:
-            return None
-    if len(n1.spine) != len(n2.spine):
+    the common spine.  The prefix of n1's spine that a Snd or J type needs is
+    built only there, from `neutral(head)` with the same eliminators, so it is
+    glued if n1 is; only applications and projections reach a glued head."""
+    head, other = n1.head, n2.head
+    if head.__class__ is not other.__class__ or (
+            head.lvl != other.lvl if head.__class__ is VVar else head.name != other.name):
         return None
-    current: Value = neutral(n1.head)
-    for i1, i2 in zip(n1.spine, n2.spine):
-        match i1, i2, whnf(ty):
-            case SApp(a1), SApp(a2), VPi(dom, cod, _):
-                if a1 is not a2 and not convert(d, force(a1), force(a2), dom, flex):
-                    return None
-                ty = cod.apply(a1)
-                current = do_apply(current, a1)
-            case SFst(), SFst(), VSigma(first, _, _):
-                ty = first
-                current = do_fst(current)
-            case SSnd(), SSnd(), VSigma(_, second, _):
-                ty = second.apply(do_fst(current))
-                current = do_snd(current)
-            case SJ(m1, b1, l1, r1, _), SJ(m2, b2, l2, r2, _), VId(a_ty, _, _):
-                x = fresh(d, a_ty)
-                y = fresh(d + 1, a_ty)
-                p = fresh(d + 2, VId(a_ty, x, y))
-                if not convert_type(d + 3, m1.apply(x, y, p), m2.apply(x, y, p), flex):
-                    return None
-                bx = fresh(d, a_ty)
-                if not convert(d + 1, b1.apply(bx), b2.apply(bx), m1.apply(bx, bx, VRefl(bx)), flex):
-                    return None
-                if not convert(d, l1, l2, a_ty, flex) or not convert(d, r1, r2, a_ty, flex):
-                    return None
-                ty = m1.apply(l1, r1, current)
-                current = do_j(m1, b1, l1, r1, current)
-            case _:
+    spine = n1.spine
+    if len(spine) != len(n2.spine):
+        return None
+    ty = head.type
+    prefix, built = neutral(head), 0
+    for i, (i1, i2) in enumerate(zip(spine, n2.spine)):
+        cls, t = i1.__class__, whnf(ty)
+        if cls is not i2.__class__:
+            return None
+        if cls is SSnd or cls is SJ:
+            for item in spine[built:i]:
+                prefix = _extend(prefix, item)
+            built = i
+        tcls = t.__class__
+        if cls is SApp and tcls is VPi:
+            a1 = i1.arg
+            if a1 is not i2.arg and not convert(d, force(a1), force(i2.arg), t.domain, flex):
                 return None
+            ty = t.codomain.apply(a1)
+        elif cls is SFst and tcls is VSigma:
+            ty = t.first
+        elif cls is SSnd and tcls is VSigma:
+            ty = t.second.apply(do_fst(prefix))
+        elif cls is SJ and tcls is VId:
+            a_ty, m1 = t.type, i1.motive
+            x, y = fresh(d, a_ty), fresh(d + 1, a_ty)
+            p = fresh(d + 2, VId(a_ty, x, y))
+            if not convert_type(d + 3, m1.apply(x, y, p), i2.motive.apply(x, y, p), flex):
+                return None
+            bx = fresh(d, a_ty)
+            if not convert(d + 1, i1.base.apply(bx), i2.base.apply(bx), m1.apply(bx, bx, VRefl(bx)), flex):
+                return None
+            if not convert(d, i1.lhs, i2.lhs, a_ty, flex) or not convert(d, i1.rhs, i2.rhs, a_ty, flex):
+                return None
+            ty = m1.apply(i1.lhs, i1.rhs, prefix)
+        else:
+            return None
     return ty
 
 
@@ -605,21 +589,21 @@ def subtype(d: int, t1: Value, t2: Value) -> bool:
     components, conversion elsewhere."""
     if _glued(t1) or _glued(t2):
         return _convert_glued(d, t1, t2, False, subtype)
-    match t1, t2:
-        case VUniverse(i), VUniverse(j):
-            return i <= j
-        case VPi(d1, c1, _), VPi(d2, c2, _):
-            if not convert_type(d, d1, d2):
+    cls = t1.__class__
+    if cls is t2.__class__:
+        if cls is VUniverse:
+            return t1.level <= t2.level
+        if cls is VPi:
+            if not convert_type(d, t1.domain, t2.domain):
                 return False
-            x = fresh(d, d1)
-            return subtype(d + 1, c1.apply(x), c2.apply(x))
-        case VSigma(f1, s1, _), VSigma(f2, s2, _):
-            if not subtype(d, f1, f2):
+            x = fresh(d, t1.domain)
+            return subtype(d + 1, t1.codomain.apply(x), t2.codomain.apply(x))
+        if cls is VSigma:
+            if not subtype(d, t1.first, t2.first):
                 return False
-            x = fresh(d, f1)
-            return subtype(d + 1, s1.apply(x), s2.apply(x))
-        case _:
-            return convert_type(d, t1, t2)
+            x = fresh(d, t1.first)
+            return subtype(d + 1, t1.second.apply(x), t2.second.apply(x))
+    return convert_type(d, t1, t2)
 
 
 # ---------------------------------------------------------------------------

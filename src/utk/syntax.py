@@ -194,12 +194,6 @@ def _fields(term) -> tuple:
     raise MalformedTermError(f"not a term: {term!r}")
 
 
-def subterms(term: Term) -> list:
-    """The (subterm, number of variables it binds) pairs of `term`, in field
-    order; none for a leaf."""
-    return [(getattr(term, name), binds) for name, binds in _fields(term)]
-
-
 def map_subterms(term: Term, fn) -> Term:
     """`term` with each subterm `t` that binds `k` variables replaced by
     `fn(t, k)`; `term` itself when every replacement is the subterm itself."""
@@ -218,30 +212,28 @@ def map_subterms(term: Term, fn) -> Term:
 
 def validate(term: Term, depth: int) -> bool:
     """True iff every variable index is below its local binding depth plus `depth`."""
-    return _constants(term, depth, set())
+    return _scan(term, depth, set(), set()) is not None
 
 
-def _constants(term: Term, depth: int, acc: set) -> bool:
-    """`validate`, adding the names of the constants met on the way to `acc`;
-    `pretty_print` avoids them as binder names."""
-    if isinstance(term, Var):
-        return 0 <= term.ix < depth
-    if isinstance(term, Constant):
-        acc.add(term.name)
-    for sub, binds in subterms(term):
-        if not _constants(sub, depth + binds, acc):
-            return False
-    return True
-
-
-def _used(term: Term, ix: int) -> bool:
-    """Does de Bruijn index `ix` occur in `term`?"""
-    if isinstance(term, Var):
-        return term.ix == ix
-    for sub, binds in subterms(term):
-        if _used(sub, ix + binds):
-            return True
-    return False
+def _scan(term: Term, depth: int, consts: set, unnamed: set) -> Optional[int]:
+    """The bitmask of `term`'s free de Bruijn indices, or None if it is not
+    well scoped.  Adds the constants met to `consts`, and the id of each Pi or
+    Sigma whose variable does not occur to `unnamed` (a mask does not depend
+    on where its subterm occurs, so ids are sound on shared subterms)."""
+    cls = term.__class__
+    if cls is Var:
+        return 1 << term.ix if 0 <= term.ix < depth else None
+    if cls is Constant:
+        consts.add(term.name)
+    mask = 0
+    for name, binds in _fields(term):
+        sub = _scan(getattr(term, name), depth + binds, consts, unnamed)
+        if sub is None:
+            return None
+        if binds and not sub & 1 and (cls is Pi or cls is Sigma):
+            unnamed.add(id(term))
+        mask |= sub >> binds
+    return mask
 
 
 def shift(term: Term, by: int, cutoff: int = 0) -> Term:
@@ -270,73 +262,95 @@ def _fresh(hint: str, avoid: set) -> str:
 
 def pretty_print(term: Term, names: list) -> str:
     """Render `term` in surface syntax; `names` gives the enclosing binders,
-    innermost last."""
-    avoid = set(names)
-    if not _constants(term, len(names), avoid):
+    innermost last.  One walk checks scope and finds the unused Pi and Sigma
+    binders, and a second appends the text to one buffer."""
+    avoid, unnamed = set(names), set()
+    if _scan(term, len(names), avoid, unnamed) is None:
         raise MalformedTermError("pretty_print: term is not well scoped")
-    return _pp(term, list(names), avoid, 0)
+    out: list = []
+    _emit(term, 0, list(names), avoid, unnamed, out.append)
+    return "".join(out)
 
 
-# prec: 0 = term (arrows, lambdas), 1 = application, 2 = atom
-def _pp(term: Term, names: list, avoid: set, prec: int) -> str:
-    def wrap(s: str, at: int) -> str:
-        return f"({s})" if prec > at else s
+# `names` and `avoid` grow and shrink in place at each binder.  A fresh name
+# is never already in `avoid`, so removing it restores the set; `_`, the only
+# other name bound, is never looked up there.
+def _bind(names: list, avoid: set, x: str) -> str:
+    names.append(x)
+    avoid.add(x)
+    return x
 
-    match term:
-        case Var(ix):
-            return names[len(names) - 1 - ix]
-        case Universe(Level(i)):
-            return f"U{i}"
-        case Unit():
-            return "1"
-        case Star():
-            return "*"
-        case Constant(name):
-            return name
-        case Pi(d, c, h):
-            x = "_" if not _used(c, 0) else _fresh(h, avoid)
-            dom = _pp(d, names, avoid, 0)
-            cod = _pp(c, names + [x], avoid | {x}, 0)
-            return wrap(f"({x} : {dom}) -> {cod}", 0)
-        case Sigma(f, s, h):
-            x = "_" if not _used(s, 0) else _fresh(h, avoid)
-            fst_s = _pp(f, names, avoid, 0)
-            snd_s = _pp(s, names + [x], avoid | {x}, 0)
-            return wrap(f"({x} : {fst_s}) * {snd_s}", 0)
-        case Lambda():
-            binders = []
-            body = term
-            while isinstance(body, Lambda):
-                x = _fresh(body.hint, avoid)
-                binders.append(x)
-                avoid = avoid | {x}
-                names = names + [x]
-                body = body.body
-            return wrap(f"\\{' '.join(binders)} -> {_pp(body, names, avoid, 0)}", 0)
-        case Apply(f, a):
-            return wrap(f"{_pp(f, names, avoid, 1)} {_pp(a, names, avoid, 2)}", 1)
-        case Pair(a, b):
-            return f"({_pp(a, names, avoid, 0)}, {_pp(b, names, avoid, 0)})"
-        case Fst(p):
-            return wrap(f"fst {_pp(p, names, avoid, 2)}", 1)
-        case Snd(p):
-            return wrap(f"snd {_pp(p, names, avoid, 2)}", 1)
-        case Id(t, l, r):
-            parts = " ".join(_pp(u, names, avoid, 2) for u in (t, l, r))
-            return wrap(f"Id {parts}", 1)
-        case Refl(p):
-            return wrap(f"refl {_pp(p, names, avoid, 2)}", 1)
-        case J(m, b, l, r, pr, hints):
-            hx, hy, hp, bx = hints
-            x = _fresh(hx, avoid)
-            y = _fresh(hy, avoid | {x})
-            p = _fresh(hp, avoid | {x, y})
-            motive = f"(\\{x} {y} {p} -> {_pp(m, names + [x, y, p], avoid | {x, y, p}, 0)})"
-            x2 = _fresh(bx, avoid)
-            base = f"(\\{x2} -> {_pp(b, names + [x2], avoid | {x2}, 0)})"
-            rest = " ".join(_pp(u, names, avoid, 2) for u in (l, r, pr))
-            return wrap(f"J {motive} {base} {rest}", 1)
-        case Annot(t, _):
-            # annotations are elaborator-internal; print the underlying term
-            return _pp(t, names, avoid, prec)
-    raise MalformedTermError(f"not a term: {term!r}")
+
+def _unbind(names: list, avoid: set, k: int):
+    avoid.difference_update(names[-k:])
+    del names[-k:]
+
+
+# prec: 0 = term (arrows, lambdas), 1 = application, 2 = atom.  A former is
+# parenthesized where its context needs a tighter precedence than its own.
+_PREC = {Pi: 0, Sigma: 0, Lambda: 0, Apply: 1, Fst: 1, Snd: 1, Refl: 1, Id: 1, J: 1}
+_KEYWORDS = {Fst: "fst", Snd: "snd", Refl: "refl", Id: "Id"}
+
+
+def _emit(term: Term, prec: int, names: list, avoid: set, unnamed: set, put):
+    cls = term.__class__
+    if cls is Var:
+        put(names[len(names) - 1 - term.ix])
+        return
+    wrap = prec > _PREC.get(cls, 2)
+    if wrap:
+        put("(")
+    if cls is Apply:
+        _emit(term.fn, 1, names, avoid, unnamed, put)
+        put(" ")
+        _emit(term.arg, 2, names, avoid, unnamed, put)
+    elif cls is Pi or cls is Sigma:
+        (dom, _), (cod, _) = SUBTERMS[cls]
+        x = "_" if id(term) in unnamed else _fresh(term.hint, avoid)
+        put(f"({x} : ")
+        _emit(getattr(term, dom), 0, names, avoid, unnamed, put)
+        put(") -> " if cls is Pi else ") * ")
+        _bind(names, avoid, x)
+        _emit(getattr(term, cod), 0, names, avoid, unnamed, put)
+        _unbind(names, avoid, 1)
+    elif cls is Lambda:
+        k = len(names)
+        while term.__class__ is Lambda:
+            _bind(names, avoid, _fresh(term.hint, avoid))
+            term = term.body
+        k = len(names) - k
+        put(f"\\{' '.join(names[-k:])} -> ")
+        _emit(term, 0, names, avoid, unnamed, put)
+        _unbind(names, avoid, k)
+    elif cls is Constant:
+        put(term.name)
+    elif cls is Universe:
+        put(f"U{term.level.index}")
+    elif cls is Unit or cls is Star:
+        put("1" if cls is Unit else "*")
+    elif cls is Pair:
+        put("(")
+        _emit(term.fst, 0, names, avoid, unnamed, put)
+        put(", ")
+        _emit(term.snd, 0, names, avoid, unnamed, put)
+        put(")")
+    elif cls is Annot:
+        _emit(term.term, prec, names, avoid, unnamed, put)  # annotations are elaborator-internal
+    else:  # Fst, Snd, Refl, Id and J apply a keyword to atoms
+        if cls is J:
+            xs = [_bind(names, avoid, _fresh(hint, avoid)) for hint in term.hints[:3]]
+            put(f"J (\\{' '.join(xs)} -> ")
+            _emit(term.motive, 0, names, avoid, unnamed, put)
+            _unbind(names, avoid, 3)
+            put(f") (\\{_bind(names, avoid, _fresh(term.hints[3], avoid))} -> ")
+            _emit(term.base, 0, names, avoid, unnamed, put)
+            _unbind(names, avoid, 1)
+            put(")")
+        else:
+            put(_KEYWORDS[cls])
+        for name, binds in SUBTERMS[cls]:
+            if not binds:
+                put(" ")
+                _emit(getattr(term, name), 2, names, avoid, unnamed, put)
+    if wrap:
+        put(")")

@@ -38,9 +38,10 @@ def checked_corpus():
 
 @pytest.fixture(scope="session")
 def corpus_normal_forms(checked_corpus):
-    """For each corpus definition, in order: its name, whether normalizing
-    its normal form gives the normal form again, and the KernelError raised
-    when the normal form is checked against the declared type, or None."""
+    """For each corpus definition, in order: its name, its normal form,
+    whether normalizing the normal form gives it again, and the KernelError
+    raised when the normal form is checked against the declared type, or
+    None."""
     core, scope, _ = checked_corpus
 
     def run():
@@ -55,7 +56,7 @@ def corpus_normal_forms(checked_corpus):
                 error = None
             except K.KernelError as exc:
                 error = exc
-            rows.append((decl.name, again == nf, error))
+            rows.append((decl.name, nf, again == nf, error))
         return rows
 
     return run_deep(run)

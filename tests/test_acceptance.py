@@ -80,7 +80,7 @@ def test_criterion_3_kernel_properties(checked_corpus, corpus_normal_forms):
     assert report.ok
 
     def run():
-        for name, idempotent, error in corpus_normal_forms:
+        for name, _, idempotent, error in corpus_normal_forms:
             if not idempotent:
                 return f"normalize not idempotent at {name}"
             if error is not None:

@@ -2,6 +2,7 @@
 complete, deleting axioms breaks downstream theorems, and the kernel
 invariants hold on every corpus declaration."""
 
+import hashlib
 import shutil
 
 import pytest
@@ -101,9 +102,21 @@ def test_mutation_star_body_names_theorem(tmp_path):
 
 
 def test_normalize_idempotent_and_type_preserving(corpus_normal_forms):
-    for name, idempotent, error in corpus_normal_forms:
+    for name, _, idempotent, error in corpus_normal_forms:
         assert idempotent, name
         assert error is None, f"{name}: {error}"
+
+
+# SHA-256 of the printed corpus normal forms, in declaration order, joined by
+# newlines.  The benchmark's `expected.json` digests are nameless; this pins
+# the binder names the printer chooses too.
+PRINTED_NORMAL_FORMS_SHA256 = "86f648969ebec94bf7f022ae488d9d255eff7b7e33f2dc63a0f81ff004f2a077"
+
+
+def test_printed_normal_forms_are_pinned(corpus_normal_forms):
+    text = "\n".join(S.pretty_print(nf, []) for _, nf, _, _ in corpus_normal_forms)
+    assert len(corpus_normal_forms) == 110
+    assert hashlib.sha256(text.encode()).hexdigest() == PRINTED_NORMAL_FORMS_SHA256
 
 
 def test_coerce_refl_normalizes_to_identity(checked_corpus):

@@ -1,6 +1,7 @@
 """Source hygiene of the `utk` package and its tests."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import utk
@@ -30,3 +31,36 @@ def test_every_imported_name_is_used():
             if names:
                 unused[f"{root.name}/{path.relative_to(root)}"] = names
     assert unused == {}
+
+
+def _uses(tree: ast.Module):
+    """(name, line) of every name read, attribute taken, or identifier-like
+    string constant (hooks name their targets by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def test_every_module_level_definition_has_a_use():
+    """A function or class of `utk` that nothing outside its own definition
+    names, in the package, its tests or the benchmark, is dead code."""
+    paths = [*PACKAGE.rglob("*.py"), *TESTS.glob("*.py"),
+             *(TESTS.parent / "perfbench").rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    uses = defaultdict(list)
+    for path, tree in trees.items():
+        for name, line in _uses(tree):
+            uses[name].append((path, line))
+    dead = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and all(
+                    where == path and node.lineno <= line <= node.end_lineno
+                    for where, line in uses[node.name]):
+                dead.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
+    assert dead == []

@@ -225,3 +225,29 @@ def test_checking_chains_is_linear(tmp_path, monkeypatch, source):
         assert cli.run_cli(["check", str(path), "--json"]) == 0
         counts.append(calls[0])
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+# Each kernel function ends in a typed error for a value or term it does not
+# handle; its message names the culprit.
+FALL_THROUGHS = [
+    (lambda: K.evaluate(scope(), (), S.Hole(3, 4)),
+     S.MalformedTermError, "not a term: Hole(line=3, col=4, solution=None)"),
+    (lambda: K.do_apply(K.V_STAR, K.V_UNIT),
+     K.KernelError, "cannot apply non-function value VStar()"),
+    (lambda: K.do_fst(K.V_STAR), K.KernelError, "cannot project non-pair value VStar()"),
+    (lambda: K.do_snd(K.V_STAR), K.KernelError, "cannot project non-pair value VStar()"),
+    (lambda: K.quote(0, K.V_STAR, K.VId(K.V_UNIT, K.V_STAR, K.V_STAR)), K.KernelError,
+     "quote: value VStar() does not fit type VId(type=VUnit(), lhs=VStar(), rhs=VStar())"),
+    (lambda: K.quote_type(0, K.V_STAR), K.KernelError, "quote_type: not a type value: VStar()"),
+    (lambda: S.pretty_print(Pair(Star(), "star"), []),
+     S.MalformedTermError, "not a term: 'star'"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", FALL_THROUGHS,
+                         ids=["evaluate", "do_apply", "do_fst", "do_snd", "quote",
+                              "quote_type", "pretty_print"])
+def test_fall_through_errors_stay_typed(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
