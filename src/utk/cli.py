@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from pathlib import Path
 
 from . import corpuscheck as C
@@ -28,10 +27,7 @@ CHECK_ERROR = 1
 
 
 def _check_files(paths):
-    decls = []
-    for path in paths:
-        decls.extend(P.parse_program(Path(path).read_text()))
-    core, scope, report, _ = E.elaborate_and_check(decls)
+    core, scope, report, _ = E.elaborate_and_check(P.parse_files(paths))
     return core, scope, report
 
 
@@ -109,24 +105,13 @@ def run_cli(argv) -> int:
         args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    result = {}
-
-    def work():
-        # the one error handler of every subcommand: unreadable input, a
-        # parse error or a crash prints `error: ...` and exits 2
-        try:
-            result["code"] = args.fn(args)
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            result["code"] = USAGE_ERROR
-
-    # proof checking recurses deeply; give the worker a large stack
-    sys.setrecursionlimit(400000)
-    threading.stack_size(512 * 1024 * 1024)
-    worker = threading.Thread(target=work)
-    worker.start()
-    worker.join()
-    return result.get("code", USAGE_ERROR)
+    # the one error handler of every subcommand: unreadable input, a parse
+    # error or a crash prints `error: ...` and exits 2
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def main() -> None:

@@ -29,34 +29,10 @@ def corpus_dir() -> Path:
     return Path(__file__).parent / "corpus"
 
 
-def load_manifest(directory: Path) -> list:
-    path = directory / "MANIFEST"
-    files = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("--"):
-            files.append(directory / line)
-    return files
-
-
-def load_opaque(directory: Path) -> frozenset:
-    path = directory / "OPAQUE"
-    if not path.exists():
-        return frozenset()
-    names = set()
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("--"):
-            names.add(line)
-    return frozenset(names)
-
-
-def parse_corpus(directory: Path = None) -> list:
-    directory = directory or corpus_dir()
-    decls = []
-    for path in load_manifest(directory):
-        decls.extend(P.parse_program(path.read_text()))
-    return decls
+def _lines(path: Path) -> list:
+    """The stripped lines of `path`, without blanks and `--` comments."""
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return [line for line in lines if line and not line.startswith("--")]
 
 
 def check_corpus(directory: Path = None):
@@ -66,8 +42,10 @@ def check_corpus(directory: Path = None):
     declaration, which the report names.
     """
     directory = directory or corpus_dir()
-    core, scope, report, _ = E.elaborate_and_check(
-        parse_corpus(directory), load_opaque(directory))
+    decls = P.parse_files(directory / name for name in _lines(directory / "MANIFEST"))
+    opaque_file = directory / "OPAQUE"
+    opaque = frozenset(_lines(opaque_file)) if opaque_file.exists() else frozenset()
+    core, scope, report, _ = E.elaborate_and_check(decls, opaque)
     return core, scope, report
 
 
@@ -90,10 +68,7 @@ class TheoremMap:
 def load_theorem_map(directory: Path = None) -> TheoremMap:
     directory = directory or corpus_dir()
     entries = []
-    for line in (directory / "THEOREMS.tsv").read_text().splitlines():
-        line = line.rstrip("\n")
-        if not line or line.startswith("--"):
-            continue
+    for line in _lines(directory / "THEOREMS.tsv"):
         identifier, anchor, statement = line.split("\t", 2)
         entries.append(TheoremEntry(identifier, anchor, statement))
     return TheoremMap(entries)

@@ -72,20 +72,20 @@ class DeclarationError(KernelError):
 
 
 class Lazy:
-    """A memoised suspension: `fn(*args)` runs on the first `force`, and the
-    result is kept in place of `fn` and `args`.  Arguments (in environments
-    and spines) and the unfoldings of glued neutrals are lazy."""
+    """A memoised suspension: `fn(a, b, c)` runs on the first `force`, and
+    the result is kept in place of the call.  Arguments (in environments and
+    spines) and the unfoldings of glued neutrals are lazy.  The call has a
+    fixed arity: `fn(*args)` would nest a C frame per forced thunk."""
 
-    __slots__ = ("fn", "args", "value")
+    __slots__ = ("fn", "a", "b", "c", "value")
 
-    def __init__(self, fn, *args):
-        self.fn = fn
-        self.args = args
+    def __init__(self, fn, a, b, c):
+        self.fn, self.a, self.b, self.c = fn, a, b, c
 
     def force(self) -> "Value":
         if self.fn is not None:
-            self.value = self.fn(*self.args)
-            self.fn = self.args = None
+            self.value = self.fn(self.a, self.b, self.c)
+            self.fn = self.a = self.b = self.c = None
         return self.value
 
 
@@ -314,10 +314,11 @@ def _extend(n: VNeutral, item) -> VNeutral:
     unfolds its proof first, so only applications and projections reach a
     glued neutral."""
     u = n.unfold
-    return VNeutral(n.head, n.spine + (item,), None if u is None else Lazy(_eliminate, u, item))
+    return VNeutral(n.head, n.spine + (item,), None if u is None else Lazy(_eliminate, u, item, None))
 
 
-def _eliminate(v, item) -> Value:
+def _eliminate(v, item, _) -> Value:
+    """`v` eliminated by `item`; the third argument pads Lazy's arity."""
     v = force(v)
     if item.__class__ is SApp:
         return do_apply(v, item.arg)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 
@@ -356,6 +357,11 @@ class _Parser:
 def parse_program(source: str):
     """Parse a whole source file into surface declarations, in order."""
     return _Parser(tokenize(source)).program()
+
+
+def parse_files(paths) -> list:
+    """Parse the files at `paths` in order; their declarations, concatenated."""
+    return [decl for path in paths for decl in parse_program(Path(path).read_text())]
 
 
 def parse_term(source: str) -> STerm:

@@ -160,10 +160,6 @@ class Declaration:
     body: Optional[Term] = None  # None = postulate
     opaque: bool = False  # opaque definitions do not unfold during evaluation
 
-    @property
-    def is_postulate(self) -> bool:
-        return self.body is None
-
 
 # Each term former's term-valued fields, in order, with the number of
 # variables each field binds.  Every structural walk of core terms reads this
@@ -183,6 +179,36 @@ SUBTERMS = {
     Annot: (("term", 0), ("type", 0)),
 }
 LEAVES = (Var, Universe, Unit, Star, Constant)
+
+
+def _equal(a: Term, b: Term) -> bool:
+    """Structural equality of core terms, binder hints ignored, walked with
+    an explicit stack; a `Hole` equals only itself."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        fields = SUBTERMS.get(cls)
+        if fields is not None:
+            for name, _ in fields:
+                stack.append((getattr(a, name), getattr(b, name)))
+        elif not (cls is Var and a.ix == b.ix or cls is Universe and a.level == b.level
+                  or cls is Constant and a.name == b.name or cls is Unit or cls is Star):
+            return False
+    return True
+
+
+# `==` replaces the generated one, which recursed through C, and nothing
+# hashes a core term.
+for _cls in (*SUBTERMS, *LEAVES):
+    _cls.__eq__ = _equal
+    _cls.__hash__ = None
 
 
 def _fields(term) -> tuple:

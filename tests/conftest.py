@@ -1,8 +1,6 @@
 import contextlib
 import io
 import json
-import sys
-import threading
 import time
 
 import pytest
@@ -13,27 +11,10 @@ from utk import kernel as K
 from utk import syntax as S
 from utk.model import selftest as ST
 
-sys.setrecursionlimit(400000)
-
-
-def run_deep(fn):
-    """Run with a large stack; proof checking recurses deeply."""
-    result = {}
-
-    def work():
-        result["value"] = fn()
-
-    threading.stack_size(512 * 1024 * 1024)
-    t = threading.Thread(target=work)
-    t.start()
-    t.join()
-    return result["value"]
-
-
 @pytest.fixture(scope="session")
 def checked_corpus():
     """The shipped corpus, checked once: (core declarations, scope, report)."""
-    return run_deep(C.check_corpus)
+    return C.check_corpus()
 
 
 @pytest.fixture(scope="session")
@@ -43,23 +24,19 @@ def corpus_normal_forms(checked_corpus):
     raised when the normal form is checked against the declared type, or
     None."""
     core, scope, _ = checked_corpus
-
-    def run():
-        rows = []
-        for decl in core:
-            if decl.body is None:
-                continue
-            nf = K.normalize(scope, [], S.Annot(decl.body, decl.type))
-            again = K.normalize(scope, [], S.Annot(nf, decl.type))
-            try:
-                K.check(scope, [], nf, decl.type)
-                error = None
-            except K.KernelError as exc:
-                error = exc
-            rows.append((decl.name, nf, again == nf, error))
-        return rows
-
-    return run_deep(run)
+    rows = []
+    for decl in core:
+        if decl.body is None:
+            continue
+        nf = K.normalize(scope, [], S.Annot(decl.body, decl.type))
+        again = K.normalize(scope, [], S.Annot(nf, decl.type))
+        try:
+            K.check(scope, [], nf, decl.type)
+            error = None
+        except K.KernelError as exc:
+            error = exc
+        rows.append((decl.name, nf, again == nf, error))
+    return rows
 
 
 @pytest.fixture(scope="session")

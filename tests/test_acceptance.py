@@ -5,8 +5,6 @@ import itertools
 import shutil
 import time
 
-from conftest import run_deep
-
 from utk import cli
 from utk import corpuscheck as C
 from utk import kernel as K
@@ -24,10 +22,10 @@ def report_line(criterion: str, ok: bool):
 
 def test_criterion_1_corpus_completeness(checked_corpus):
     t0 = time.time()
-    core, scope, report = run_deep(lambda: C.check_corpus())
+    core, scope, report = C.check_corpus()
     ok = report.ok
     if ok:
-        verify = run_deep(lambda: C.verify_corpus(scope, C.load_theorem_map()))
+        verify = C.verify_corpus(scope, C.load_theorem_map())
         ok = verify.ok
         required = {
             "funext", "isContr", "sing", "sing_contr", "fib", "isEquiv",
@@ -66,7 +64,7 @@ def test_criterion_2_mutation_sensitivity(tmp_path):
                 out.append(line)
         path.write_text("\n".join(out))
         code = cli.run_cli(["corpus", "--dir", str(target), "--json"])
-        _, scope, report = run_deep(lambda t=target: C.check_corpus(t))
+        _, scope, report = C.check_corpus(target)
         failing = report.entries[-1]
         named_theorem = failing.status == "error" and failing.name.startswith("thm_")
         if code == 1 and named_theorem:
@@ -91,7 +89,7 @@ def test_criterion_3_kernel_properties(checked_corpus, corpus_normal_forms):
             return "coerce_refl is not the identity lambda"
         return None
 
-    failure = run_deep(run)
+    failure = run()
     if failure:
         print(f"  {failure}")
     report_line("3 kernel properties", failure is None)

@@ -113,6 +113,23 @@ def test_python_dash_m_utk(tmp_path):
     assert "FAIL  bad" in done.stdout
 
 
+def test_deep_input_runs_on_the_main_thread(tmp_path):
+    """`python -m utk` runs each subcommand on the calling thread: a
+    20000-deep chain checks and normalizes under the default C stack."""
+    n = 20000
+    f = tmp_path / "deep.tt"
+    f.write_text("def idf : U1 -> U1 := \\x -> x\n"
+                 f"def nest_chain : U1 := {'idf (' * n}U0{')' * n}\n")
+    src = str(Path(utk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    for args, out in ((["check"], "ok    idf\nok    nest_chain\npass\n"),
+                      (["normalize", "--def", "nest_chain"], "U0\n")):
+        done = subprocess.run([sys.executable, "-m", "utk", *args, str(f)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == out
+
+
 def test_corpus_passes(capsys):
     code, out, _ = run_cli(capsys, "corpus")
     assert code == 0

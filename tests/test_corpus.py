@@ -7,8 +7,6 @@ import shutil
 
 import pytest
 
-from conftest import run_deep
-
 from utk import corpuscheck as C
 from utk import elab as E
 from utk import kernel as K
@@ -25,7 +23,7 @@ def test_corpus_checks(checked_corpus):
 def test_theorem_map_verifies(checked_corpus):
     core, scope, report = checked_corpus
     tmap = C.load_theorem_map()
-    result = run_deep(lambda: C.verify_corpus(scope, tmap))
+    result = C.verify_corpus(scope, tmap)
     assert result.ok, result.summary()
 
 
@@ -72,7 +70,7 @@ def test_mutation_deleting_axiom_breaks_downstream(tmp_path, axiom):
         path.write_text("\n".join(out))
 
     target = _mutated_corpus(tmp_path, mutate)
-    core, scope, report = run_deep(lambda: C.check_corpus(target))
+    core, scope, report = C.check_corpus(target)
     assert not report.ok
     failing = report.entries[-1]
     assert failing.status == "error"
@@ -92,7 +90,7 @@ def test_mutation_star_body_names_theorem(tmp_path):
         path.write_text(head + marker + "*\n\ndef naive_ua_section" + after)
 
     target = _mutated_corpus(tmp_path, mutate)
-    core, scope, report = run_deep(lambda: C.check_corpus(target))
+    core, scope, report = C.check_corpus(target)
     assert not report.ok
     assert report.entries[-1].name == "thm_naiveuniv_fwd"
 
@@ -122,7 +120,7 @@ def test_printed_normal_forms_are_pinned(corpus_normal_forms):
 def test_coerce_refl_normalizes_to_identity(checked_corpus):
     core, scope, _ = checked_corpus
     decl = next(d for d in core if d.name == "coerce_refl")
-    nf = run_deep(lambda: K.normalize(scope, [], S.Annot(decl.body, decl.type)))
+    nf = K.normalize(scope, [], S.Annot(decl.body, decl.type))
     assert nf == S.Lambda(S.Lambda(S.Var(0)))
 
 
@@ -136,14 +134,14 @@ def test_coerce_along_refl_is_identity(checked_corpus):
 
 def test_checker_deterministic(checked_corpus):
     core, _, _ = checked_corpus
-    _, scope2, report2 = run_deep(lambda: C.check_corpus())
+    _, scope2, report2 = C.check_corpus()
     assert report2.ok
     nf1 = {}
     for d in core[:20]:
         if d.body is None:
             continue
         nf1[d.name] = K.normalize(scope2, [], S.Annot(d.body, d.type))
-    _, scope3, _ = run_deep(lambda: C.check_corpus())
+    _, scope3, _ = C.check_corpus()
     for d in core[:20]:
         if d.body is None:
             continue
@@ -190,4 +188,4 @@ def test_roundtrip_parse_pretty_print(checked_corpus):
 
 def test_corpus_accepted_by_check_program(checked_corpus):
     core, _, _ = checked_corpus
-    run_deep(lambda: K.check_program(core))
+    K.check_program(core)

@@ -64,3 +64,28 @@ def test_every_module_level_definition_has_a_use():
                     for where, line in uses[node.name]):
                 dead.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
     assert dead == []
+
+
+def test_one_thread_and_one_recursion_limit():
+    """Subcommands and tests run on the calling thread: nothing imports
+    `threading`, and the recursion limit is set once, when `utk` is imported
+    (a call in a subprocess script counts too)."""
+    threads, limits, call = [], [], "setrecursionlimit"
+    for root, paths in ((PACKAGE, PACKAGE.rglob("*.py")), (TESTS, TESTS.glob("*.py"))):
+        for path in sorted(paths):
+            where = f"{root.name}/{path.relative_to(root)}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    modules = []
+                if any(name.split(".")[0] == "threading" for name in modules):
+                    threads.append(where)
+                if (isinstance(node, ast.Attribute) and node.attr == call
+                        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and call + "(" in node.value):
+                    limits.append(where)
+    assert threads == []
+    assert limits == ["utk/__init__.py"]

@@ -48,9 +48,7 @@ def test_zonk_shares_the_hole_free_siblings_of_a_solved_hole():
 
 
 DEEP_WALKS = textwrap.dedent("""
-    import sys
-    sys.setrecursionlimit(200000)
-    from utk import elab as E, syntax as S
+    from utk import elab as E, kernel as K, syntax as S
 
     n = 20000
     term = S.Hole(solution=S.Var(0))
@@ -62,13 +60,28 @@ DEEP_WALKS = textwrap.dedent("""
     shifted = S.shift(zonked, 1)
     text = S.pretty_print(shifted, ["a", "b"])
     assert text == "f (" * (n - 1) + "f a" + ")" * (n - 1)
+
+    def redexes(n, leaf):  # ((\\x -> x) : U1 -> U1) applied n times to leaf
+        term = leaf
+        for _ in range(n):
+            term = S.Apply(S.Annot(S.Lambda(S.Var(0)), S.Pi(S.universe(1), S.universe(1))), term)
+        return term
+
+    n = 60000
+    chain = redexes(n, S.universe(0))
+    K.check(K.GlobalScope(), [], chain, S.universe(1))
+    assert K.normalize(K.GlobalScope(), [], chain) == S.universe(0)
+    same, other = redexes(n, S.universe(0)), redexes(n, S.UNIT)
+    assert chain == same and not chain != same
+    assert chain != other and not chain == other
     print("ok")
 """)
 
 
 def test_walks_of_a_deep_term_run_on_the_main_thread():
-    """No walk may nest C frames per level: with only the recursion limit
-    raised, a 20000-deep chain must not overflow the main thread's stack."""
+    """No walk may nest C frames per level: with the recursion limit that
+    importing utk sets, 20000- and 60000-deep chains must not overflow the
+    main thread's stack."""
     src = str(Path(utk.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", DEEP_WALKS], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
