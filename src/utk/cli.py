@@ -56,11 +56,9 @@ def cmd_normalize(args) -> int:
 
 def cmd_corpus(args) -> int:
     directory = Path(args.dir) if args.dir else None
-    core, scope, report = C.check_corpus(directory)
+    _, scope, report = C.check_corpus(directory)
     if report.ok:
-        tmap = C.load_theorem_map(directory)
-        for entry in C.verify_corpus(scope, tmap).entries:
-            report.entries.append(entry)
+        report.entries.extend(C.verify_corpus(scope, C.load_theorem_map(directory)).entries)
     print(report.to_json() if args.json else report.summary())
     return 0 if report.ok else CHECK_ERROR
 

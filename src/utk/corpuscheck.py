@@ -60,25 +60,21 @@ class TheoremEntry:
     statement: str  # surface syntax of the declared type
 
 
-@dataclass
-class TheoremMap:
-    entries: list
-
-
-def load_theorem_map(directory: Path = None) -> TheoremMap:
+def load_theorem_map(directory: Path = None) -> list:
+    """The `TheoremEntry` of each line of THEOREMS.tsv, in order."""
     directory = directory or corpus_dir()
     entries = []
     for line in _lines(directory / "THEOREMS.tsv"):
         identifier, anchor, statement = line.split("\t", 2)
         entries.append(TheoremEntry(identifier, anchor, statement))
-    return TheoremMap(entries)
+    return entries
 
 
-def verify_corpus(scope: K.GlobalScope, tmap: TheoremMap) -> Report:
+def verify_corpus(scope: K.GlobalScope, entries: list) -> Report:
     """Check that every mapped identifier is in scope with the recorded
     statement shape."""
     report = Report()
-    for entry in tmap.entries:
+    for entry in entries:
         t0 = time.time()
         try:
             if entry.identifier not in scope:

@@ -1,4 +1,5 @@
-"""Name resolution from surface syntax to core terms.
+"""Elaboration of parsed declarations: resolve their free names against
+the scope, check them, and fill their placeholders.
 
 Elaboration is not a solver: the only type-directed step is filling `_`
 placeholders whose expected type is a definitional singleton (Unit, or a
@@ -10,13 +11,9 @@ from __future__ import annotations
 import time
 
 from . import kernel as K
-from . import parser as P
 from . import syntax as S
 from .report import Report
-from .syntax import (
-    Apply, Constant, Declaration, Fst, Hole, Id, J, Lambda, Pair, Pi, Refl,
-    Sigma, Snd, Term, Var, shift,
-)
+from .syntax import Constant, Declaration, Hole, Term, Var
 
 
 class ElabError(Exception):
@@ -27,96 +24,26 @@ class UnboundIdentifierError(ElabError):
     pass
 
 
-UnsolvablePlaceholderError = K.UnsolvablePlaceholderError
+def elab_term(term: Term, binders: list, constants) -> Term:
+    """Resolve the names the parser left as constants: one named in
+    `binders`, the enclosing binder names (innermost last), becomes its
+    `Var`; any other must be in `constants`.  Placeholders are kept."""
+    index = {name: len(binders) - 1 - i for i, name in enumerate(binders)}
 
+    def resolve(term: Term, depth: int) -> Term:
+        cls = term.__class__
+        if cls is Constant:
+            name = term.name
+            if name in index:
+                return Var(depth + index[name])
+            if name not in constants:
+                raise UnboundIdentifierError(f"unbound identifier: {name}")
+            return term
+        if cls is Hole:
+            return term
+        return S.map_subterms(term, lambda sub, binds: resolve(sub, depth + binds))
 
-def elab_term(sterm, binders: list, constants) -> Term:
-    """Resolve names to de Bruijn indices and constants.
-
-    `binders` lists the enclosing binder names, innermost last; `_` entries
-    are anonymous and never resolve.
-    """
-    match sterm:
-        case P.SVar(name):
-            for i, b in enumerate(reversed(binders)):
-                if b == name and name != "_":
-                    return Var(i)
-            if name in constants:
-                return Constant(name)
-            raise UnboundIdentifierError(f"unbound identifier: {name}")
-        case P.SUniverse(i):
-            return S.universe(i)
-        case P.SPi(binder, dom, cod):
-            hint = binder if binder is not None else "_"
-            return Pi(
-                elab_term(dom, binders, constants),
-                elab_term(cod, binders + [binder if binder is not None else "_"], constants),
-                hint,
-            )
-        case P.SSigma(binder, first, second):
-            return Sigma(
-                elab_term(first, binders, constants),
-                elab_term(second, binders + [binder], constants),
-                binder,
-            )
-        case P.SLambda(names, body):
-            inner = elab_term(body, binders + names, constants)
-            for name in reversed(names):
-                inner = Lambda(inner, name)
-            return inner
-        case P.SApply(f, a):
-            return Apply(elab_term(f, binders, constants), elab_term(a, binders, constants))
-        case P.SPair(a, b):
-            return Pair(elab_term(a, binders, constants), elab_term(b, binders, constants))
-        case P.SFst(t):
-            return Fst(elab_term(t, binders, constants))
-        case P.SSnd(t):
-            return Snd(elab_term(t, binders, constants))
-        case P.SUnit():
-            return S.UNIT
-        case P.SStar():
-            return S.STAR
-        case P.SId(t, l, r):
-            return Id(
-                elab_term(t, binders, constants),
-                elab_term(l, binders, constants),
-                elab_term(r, binders, constants),
-            )
-        case P.SRefl(t):
-            return Refl(elab_term(t, binders, constants))
-        case P.SJ(m, b, l, r, pr):
-            motive, mhints = _strip_binders(elab_term(m, binders, constants), 3)
-            base, bhints = _strip_binders(elab_term(b, binders, constants), 1)
-            return J(
-                motive, base,
-                elab_term(l, binders, constants),
-                elab_term(r, binders, constants),
-                elab_term(pr, binders, constants),
-                tuple(mhints) + tuple(bhints),
-            )
-        case P.SHole(line, col):
-            return Hole(line, col)
-    raise ElabError(f"not a surface term: {sterm!r}")
-
-
-def _strip_binders(term: Term, n: int):
-    """A J motive/base argument is a lambda of `n` binders; strip them.  A
-    non-lambda argument f is accepted as f applied to the bound variables."""
-    hints = []
-    body = term
-    for _ in range(n):
-        if isinstance(body, Lambda):
-            hints.append(body.hint)
-            body = body.body
-        else:
-            body = None
-            break
-    if body is not None:
-        return body, hints
-    wrapped = shift(term, n)
-    for i in range(n - 1, -1, -1):
-        wrapped = Apply(wrapped, Var(i))
-    return wrapped, ["x", "y", "p"][:n]
+    return resolve(term, 0)
 
 
 def _zonk(term: Term) -> Term:
@@ -124,16 +51,16 @@ def _zonk(term: Term) -> Term:
     returned as it is, so a hole-free declaration is not copied."""
     if isinstance(term, Hole):
         if term.solution is None:
-            raise UnsolvablePlaceholderError(
+            raise K.UnsolvablePlaceholderError(
                 f"{term.line}:{term.col}: unsolved placeholder")
         return term.solution
     return S.map_subterms(term, lambda sub, _: _zonk(sub))
 
 
-def elaborate_and_check(surface_decls, opaque=frozenset()):
-    """Elaborate and check declarations in order, stopping at the first
-    that fails.  Placeholders are solved against the expected types seen by
-    the checker, then replaced by their solutions.
+def elaborate_and_check(decls, opaque=frozenset()):
+    """Elaborate and check parsed declarations in order, stopping at the
+    first that fails.  Placeholders are solved against the expected types
+    seen by the checker, then replaced by their solutions.
 
     Returns (core declarations, the checked GlobalScope, a Report with one
     row per declaration reached, and the DeclarationError of the failing
@@ -142,33 +69,35 @@ def elaborate_and_check(surface_decls, opaque=frozenset()):
     scope = K.GlobalScope()
     core = []
     report = Report()
-    for sd in surface_decls:
+    for decl in decls:
         t0 = time.time()
         try:
             constants = scope.entries.keys()
-            type_t = elab_term(sd.type, [], constants)
-            body_t = None if sd.body is None else elab_term(sd.body, [], constants)
-            decl = Declaration(sd.name, type_t, body_t, opaque=sd.name in opaque)
+            decl = Declaration(
+                decl.name, elab_term(decl.type, [], constants),
+                None if decl.body is None else elab_term(decl.body, [], constants),
+                opaque=decl.name in opaque,
+            )
             entry = K.check_declaration(scope, decl)
             decl = Declaration(
-                sd.name, _zonk(type_t), None if body_t is None else _zonk(body_t),
+                decl.name, _zonk(decl.type), None if decl.body is None else _zonk(decl.body),
                 opaque=decl.opaque,
             )
         except (ElabError, K.KernelError, S.MalformedTermError) as exc:
             if not isinstance(exc, K.DeclarationError):
-                exc = K.DeclarationError(sd.name, exc)
-            report.add_error(sd.name, str(exc.cause), time.time() - t0)
+                exc = K.DeclarationError(decl.name, exc)
+            report.add_error(decl.name, str(exc.cause), time.time() - t0)
             return core, scope, report, exc
-        scope.add(sd.name, entry)
+        scope.add(decl.name, entry)
         core.append(decl)
-        report.add_ok(sd.name, time.time() - t0)
+        report.add_ok(decl.name, time.time() - t0)
     return core, scope, report, None
 
 
-def elaborate(surface_decls, opaque=frozenset()):
-    """Surface declarations to core declarations; every output validates.
+def elaborate(decls, opaque=frozenset()):
+    """Parsed declarations to checked ones; every output validates.
     Raises the DeclarationError of the first declaration that fails."""
-    core, _, _, failure = elaborate_and_check(surface_decls, opaque)
+    core, _, _, failure = elaborate_and_check(decls, opaque)
     if failure is not None:
         raise failure
     return core

@@ -352,7 +352,6 @@ class ContractionFamily(Family):
         return out
 
     def _compatible(self, context, x, values) -> bool:
-        base = self.base.base
         for c1 in values:
             for c2 in values:
                 if c1 >= c2:
@@ -396,7 +395,6 @@ class ContractionFamily(Family):
         base = self.base.base
         target = f.dst
         rf = f.apply_dm(r)
-        xf = base.restrict(context, f, x)
         face0 = face_of_eq(rf, 0)
         out = []
         for clause in face0.clauses():

@@ -168,14 +168,13 @@ def load_fixture_file(path) -> list:
     text = open(path).read()
     csets = {}
     fixtures = []
-    current = None
     mode = None
     fibers = {}
     name = None
     over = None
 
     def finish():
-        nonlocal current, mode, fibers, name, over
+        nonlocal mode, fibers
         if mode == "family":
             base = csets.get(over)
             if base is None:

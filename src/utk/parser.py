@@ -1,4 +1,4 @@
-"""Tokenizer and parser for the surface language.
+"""Tokenizer and parser: surface syntax straight to core terms.
 
     program ::= decl*
     decl    ::= "def" IDENT ":" term ":=" term | "postulate" IDENT ":" term
@@ -12,6 +12,11 @@
     atom    ::= IDENT | "_" | "U" NAT | "1" | "*" | "(" term ")" | "(" term "," term ")"
 
 Comments run from `--` to end of line.
+
+A name bound by an enclosing binder becomes its de Bruijn `Var`; every other
+name is left as a `Constant`, which the elaborator resolves against the
+scope (a whole program is parsed before any declaration is checked).  `_` is
+a placeholder `Hole` as a term, and a binder that is never referenced.
 """
 
 from __future__ import annotations
@@ -19,7 +24,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+
+from . import syntax as S
+from .syntax import (
+    Apply, Constant, Declaration, Fst, Hole, Id, J, Lambda, Pair, Pi, Refl,
+    Sigma, Snd, Term, Var, shift,
+)
 
 
 class ParseError(Exception):
@@ -31,114 +41,6 @@ class ParseError(Exception):
 
 class DuplicateNameError(ParseError):
     pass
-
-
-# Surface AST ---------------------------------------------------------------
-
-
-@dataclass
-class SVar:
-    name: str
-
-
-@dataclass
-class SUniverse:
-    level: int
-
-
-@dataclass
-class SPi:
-    binder: Optional[str]  # None for the non-dependent arrow sugar
-    domain: "STerm"
-    codomain: "STerm"
-
-
-@dataclass
-class SLambda:
-    binders: list
-    body: "STerm"
-
-
-@dataclass
-class SApply:
-    fn: "STerm"
-    arg: "STerm"
-
-
-@dataclass
-class SSigma:
-    binder: str
-    first: "STerm"
-    second: "STerm"
-
-
-@dataclass
-class SPair:
-    fst: "STerm"
-    snd: "STerm"
-
-
-@dataclass
-class SFst:
-    arg: "STerm"
-
-
-@dataclass
-class SSnd:
-    arg: "STerm"
-
-
-@dataclass
-class SUnit:
-    pass
-
-
-@dataclass
-class SStar:
-    pass
-
-
-@dataclass
-class SId:
-    type: "STerm"
-    lhs: "STerm"
-    rhs: "STerm"
-
-
-@dataclass
-class SRefl:
-    point: "STerm"
-
-
-@dataclass
-class SJ:
-    motive: "STerm"
-    base: "STerm"
-    lhs: "STerm"
-    rhs: "STerm"
-    proof: "STerm"
-
-
-@dataclass
-class SHole:
-    line: int = 0
-    col: int = 0
-
-
-STerm = object
-
-
-@dataclass
-class SurfaceDecl:
-    name: str
-    type: STerm
-    body: Optional[STerm]  # None = postulate
-    line: int = 0
-    col: int = 0
-
-    @property
-    def is_postulate(self) -> bool:
-        return self.body is None
 
 
 # Tokenizer -----------------------------------------------------------------
@@ -208,6 +110,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.names = []  # the enclosing binders, innermost last
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -228,73 +131,79 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def bound(self, name: str) -> Term:
+        """A term parsed under one more binder, `name`."""
+        self.names.append(name)
+        body = self.term()
+        self.names.pop()
+        return body
+
     # ---- grammar
 
     def program(self):
         decls = []
-        seen = {}
+        seen = set()
         while self.peek().kind != "eof":
-            decl = self.decl()
+            name, decl = self.decl()
             if decl.name in seen:
                 raise DuplicateNameError(
-                    f"duplicate name {decl.name!r}", decl.line, decl.col)
-            seen[decl.name] = decl
+                    f"duplicate name {decl.name!r}", name.line, name.col)
+            seen.add(decl.name)
             decls.append(decl)
         return decls
 
-    def decl(self) -> SurfaceDecl:
+    def decl(self):
+        """The name token and the declaration."""
         tok = self.peek()
+        if tok.kind not in ("def", "postulate"):
+            self.error("expected 'def' or 'postulate'")
+        self.next()
+        name = self.expect("ident")
+        self.expect(":")
+        ty = self.term()
+        body = None
         if tok.kind == "def":
-            self.next()
-            name = self.expect("ident")
-            self.expect(":")
-            ty = self.term()
             self.expect(":=")
             body = self.term()
-            return SurfaceDecl(name.text, ty, body, name.line, name.col)
-        if tok.kind == "postulate":
-            self.next()
-            name = self.expect("ident")
-            self.expect(":")
-            ty = self.term()
-            return SurfaceDecl(name.text, ty, None, name.line, name.col)
-        self.error("expected 'def' or 'postulate'")
+        return name, Declaration(name.text, ty, body)
 
-    def term(self) -> STerm:
+    def term(self) -> Term:
         tok = self.peek()
         if tok.kind == "\\":
             self.next()
-            binders = []
+            names = self.names
+            k = len(names)
             while self.peek().kind in ("ident", "_"):
-                binders.append(self.next().text)
-            if not binders:
+                names.append(self.next().text)
+            if len(names) == k:
                 self.error("expected at least one binder after '\\'")
             self.expect("->")
-            return SLambda(binders, self.term())
-        if tok.kind == "(" and self.peek(1).kind in ("ident", "_") and self.peek(2).kind == ":":
+            body = self.term()
+            for hint in reversed(names[k:]):
+                body = Lambda(body, hint)
+            del names[k:]
+            return body
+        if self._at_binder():
             self.next()
             binder = self.next().text
             self.expect(":")
             dom = self.term()
             self.expect(")")
-            sep = self.peek()
-            if sep.kind == "->":
-                self.next()
-                return SPi(binder, dom, self.term())
-            if sep.kind == "*":
-                self.next()
-                return SSigma(binder, dom, self.term())
-            self.error("expected '->' or '*' after a binder")
+            sep = self.peek().kind
+            if sep not in ("->", "*"):
+                self.error("expected '->' or '*' after a binder")
+            self.next()
+            return (Pi if sep == "->" else Sigma)(dom, self.bound(binder), binder)
         lhs = self.app()
         if self.peek().kind == "->":
             self.next()
-            return SPi(None, lhs, self.term())
+            return Pi(lhs, self.bound("_"), "_")
         return lhs
 
-    def app(self) -> STerm:
+    def app(self) -> Term:
         head = self.head()
         while self.peek().kind in _ATOM_STARTERS and not self._at_binder():
-            head = SApply(head, self.atom())
+            head = Apply(head, self.atom())
         return head
 
     def _at_binder(self) -> bool:
@@ -305,42 +214,55 @@ class _Parser:
             and self.peek(2).kind == ":"
         )
 
-    def head(self) -> STerm:
+    def head(self) -> Term:
         tok = self.peek()
         if tok.kind == "fst":
             self.next()
-            return SFst(self.atom())
+            return Fst(self.atom())
         if tok.kind == "snd":
             self.next()
-            return SSnd(self.atom())
+            return Snd(self.atom())
         if tok.kind == "refl":
             self.next()
-            return SRefl(self.atom())
+            return Refl(self.atom())
         if tok.kind == "Id":
             self.next()
-            return SId(self.atom(), self.atom(), self.atom())
+            return Id(self.atom(), self.atom(), self.atom())
         if tok.kind == "J":
             self.next()
-            return SJ(self.atom(), self.atom(), self.atom(), self.atom(), self.atom())
+            motive, base = self.atom(), self.atom()
+            try:
+                motive, mhints = _strip_binders(motive, 3)
+                base, bhints = _strip_binders(base, 1)
+            except S.MalformedTermError as exc:  # a placeholder cannot be shifted
+                raise ParseError(str(exc), tok.line, tok.col) from None
+            return J(motive, base, self.atom(), self.atom(), self.atom(), mhints + bhints)
         return self.atom()
 
-    def atom(self) -> STerm:
+    def atom(self) -> Term:
         tok = self.peek()
         if tok.kind == "ident":
             self.next()
-            return SVar(tok.text)
+            names = self.names
+            for i in range(len(names) - 1, -1, -1):
+                if names[i] == tok.text:
+                    return Var(len(names) - 1 - i)
+            return Constant(tok.text)
         if tok.kind == "_":
             self.next()
-            return SHole(tok.line, tok.col)
+            return Hole(tok.line, tok.col)
         if tok.kind == "uni":
             self.next()
-            return SUniverse(int(tok.text[1:]))
+            try:
+                return S.universe(int(tok.text[1:]))
+            except S.MalformedTermError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
         if tok.kind == "one":
             self.next()
-            return SUnit()
+            return S.UNIT
         if tok.kind == "*":
             self.next()
-            return SStar()
+            return S.STAR
         if tok.kind == "(":
             self.next()
             inner = self.term()
@@ -348,14 +270,31 @@ class _Parser:
                 self.next()
                 snd = self.term()
                 self.expect(")")
-                return SPair(inner, snd)
+                return Pair(inner, snd)
             self.expect(")")
             return inner
         self.error(f"unexpected token {tok.text!r}")
 
 
+def _strip_binders(term: Term, n: int):
+    """A J motive/base argument is a lambda of `n` binders; strip them.  A
+    non-lambda argument f is accepted as f applied to the bound variables.
+    Returns the body and the binders' hints."""
+    hints = []
+    body = term
+    for _ in range(n):
+        if not isinstance(body, Lambda):
+            wrapped = shift(term, n)
+            for i in range(n - 1, -1, -1):
+                wrapped = Apply(wrapped, Var(i))
+            return wrapped, ("x", "y", "p")[:n]
+        hints.append(body.hint)
+        body = body.body
+    return body, tuple(hints)
+
+
 def parse_program(source: str):
-    """Parse a whole source file into surface declarations, in order."""
+    """Parse a whole source file into declarations, in order."""
     return _Parser(tokenize(source)).program()
 
 
@@ -364,7 +303,8 @@ def parse_files(paths) -> list:
     return [decl for path in paths for decl in parse_program(Path(path).read_text())]
 
 
-def parse_term(source: str) -> STerm:
+def parse_term(source: str) -> Term:
+    """Parse one term; its free names are `Constant`s."""
     parser = _Parser(tokenize(source))
     term = parser.term()
     tok = parser.peek()

@@ -132,8 +132,9 @@ class Annot:
 
 @dataclass(eq=False)
 class Hole:
-    """Elaborator-internal placeholder; solved in place during checking and
-    replaced before a declaration is produced.  Never part of checked output."""
+    """The placeholder `_`: the parser makes it, checking solves it in place,
+    and the elaborator replaces it by its solution before a declaration is
+    produced.  Never part of checked output."""
 
     line: int = 0
     col: int = 0
@@ -163,8 +164,8 @@ class Declaration:
 
 # Each term former's term-valued fields, in order, with the number of
 # variables each field binds.  Every structural walk of core terms reads this
-# table.  `LEAVES` have no subterms; `Hole`, which only the elaborator makes
-# and replaces, is in neither.
+# table.  `LEAVES` have no subterms; `Hole`, which the parser makes and the
+# elaborator replaces, is in neither.
 SUBTERMS = {
     Pi: (("domain", 0), ("codomain", 1)),
     Lambda: (("body", 1),),
@@ -270,7 +271,7 @@ def shift(term: Term, by: int, cutoff: int = 0) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing.  Output re-parses (see surface parser) to an alpha
+# Pretty printing.  Output re-parses (see `utk.parser`) to an alpha
 # equivalent term; binder hints are freshened against everything in scope.
 
 _RESERVED = {"def", "postulate", "fst", "snd", "refl", "J", "Id"}

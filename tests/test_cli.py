@@ -34,6 +34,19 @@ def test_check_failure_exit_code(tmp_path, capsys):
     assert "bad" in out
 
 
+@pytest.mark.parametrize("source, code, out, err", [
+    ("def a : U1 := U0\ndef a : U1 := U0\n", 2, "", "error: 2:5: duplicate name 'a'\n"),
+    ("def a : U1 := U0\ndef b : U1 := foo\n", 1,
+     "ok    a\nFAIL  b: unbound identifier: foo\nfail\n", ""),
+    ("def a : U1 := U0\ndef b : U5 := U0\n", 2,
+     "", "error: 2:9: universe level 5 out of range 0..4\n"),
+])
+def test_check_error_output(tmp_path, capsys, source, code, out, err):
+    f = tmp_path / "bad.tt"
+    f.write_text(source)
+    assert run_cli(capsys, "check", str(f)) == (code, out, err)
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "no/such/file.tt")
     assert code == 2

@@ -22,23 +22,21 @@ def test_corpus_checks(checked_corpus):
 
 def test_theorem_map_verifies(checked_corpus):
     core, scope, report = checked_corpus
-    tmap = C.load_theorem_map()
-    result = C.verify_corpus(scope, tmap)
+    result = C.verify_corpus(scope, C.load_theorem_map())
     assert result.ok, result.summary()
 
 
 def test_theorem_map_missing_identifier(checked_corpus):
     _, scope, _ = checked_corpus
-    tmap = C.TheoremMap([C.TheoremEntry("no_such_thing", "nowhere", "U1")])
-    result = C.verify_corpus(scope, tmap)
+    result = C.verify_corpus(scope, [C.TheoremEntry("no_such_thing", "nowhere", "U1")])
     assert not result.ok
     assert "missing theorem" in result.entries[0].error
 
 
 def test_theorem_map_shape_mismatch(checked_corpus):
     _, scope, _ = checked_corpus
-    tmap = C.TheoremMap([C.TheoremEntry("coerce_refl", "anchor", "(A : U1) -> A -> A")])
-    result = C.verify_corpus(scope, tmap)
+    entries = [C.TheoremEntry("coerce_refl", "anchor", "(A : U1) -> A -> A")]
+    result = C.verify_corpus(scope, entries)
     assert not result.ok
     assert "shape mismatch" in result.entries[0].error
 

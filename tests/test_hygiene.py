@@ -89,3 +89,40 @@ def test_one_thread_and_one_recursion_limit():
                     limits.append(where)
     assert threads == []
     assert limits == ["utk/__init__.py"]
+
+
+def _unread_locals(tree: ast.Module) -> list:
+    """(line, name) of each name a function assigns, or declares `nonlocal`,
+    and never reads; `_` is exempt.  A read anywhere in the outermost
+    function around the assignment counts, in a nested function too."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    outermost, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, functions):
+            outermost.append(node)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    unread = set()
+    for top in outermost:
+        reads = {node.id for node in ast.walk(top)
+                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, ast.Nonlocal):
+                names = node.names
+            else:
+                continue
+            unread.update((node.lineno, name) for name in names
+                          if name != "_" and name not in reads)
+    return sorted(unread)
+
+
+def test_every_local_is_read():
+    """A local a function assigns and never reads is dead code, or a value
+    computed for nothing; bind a deliberately unused value to `_`."""
+    unread = [f"{path.relative_to(PACKAGE)}:{line} {name}"
+              for path in sorted(PACKAGE.rglob("*.py"))
+              for line, name in _unread_locals(ast.parse(path.read_text(), str(path)))]
+    assert unread == []

@@ -4,7 +4,9 @@ from utk import elab as E
 from utk import kernel as K
 from utk import parser as P
 from utk import syntax as S
-from utk.syntax import Apply, Constant, Lambda, Pair, Pi, Sigma, Star, Unit, Var, universe
+from utk.syntax import (
+    Apply, Constant, J, Lambda, Pair, Pi, Refl, Sigma, Star, Unit, Var, universe,
+)
 
 
 def elab_closed(src: str, constants=()):
@@ -15,7 +17,9 @@ def test_parse_def():
     decls = P.parse_program("def id : (A : U0) -> A -> A := \\A a -> a")
     assert len(decls) == 1
     assert decls[0].name == "id"
-    assert not decls[0].is_postulate
+    assert decls[0].body == Lambda(Lambda(Var(0)))
+    # the parser resolves bound names only; the rest stay constants
+    assert P.parse_term("\\x -> x y") == Lambda(Apply(Var(0), Constant("y")))
 
 
 def test_parse_postulate():
@@ -23,13 +27,18 @@ def test_parse_postulate():
         "postulate ua : (A : U0) -> (B : U0) -> ((f : A -> B) * 1) -> Id U0 A B"
     )
     assert len(decls) == 1
-    assert decls[0].is_postulate
+    assert decls[0].body is None
 
 
 def test_parse_error_location():
     with pytest.raises(P.ParseError) as e:
         P.parse_program("def x :=")
     assert e.value.line == 1
+    with pytest.raises(P.ParseError, match=r"^1:9: universe level 5 out of range 0\.\.4$"):
+        P.parse_program("def a : U5 := U0")
+    # a non-lambda J motive is shifted under its binders, and a hole cannot be
+    with pytest.raises(P.ParseError, match=r"^1:1: not a term: Hole\(line=1, col=6"):
+        P.parse_term("J (f _) b x y p")
 
 
 def test_parse_duplicate_name():
@@ -47,6 +56,23 @@ def test_elab_unbound():
     with pytest.raises(K.DeclarationError) as e:
         E.elaborate(P.parse_program("def x : U0 := foo"))
     assert isinstance(e.value.cause, E.UnboundIdentifierError)
+    src = "def x : (A : U0) -> (a : A) -> U0 := \\A a -> J (\\u v q -> zz) (\\u -> A) a a (refl a)"
+    with pytest.raises(K.DeclarationError) as e:
+        E.elaborate(P.parse_program(src))
+    assert str(e.value.cause) == "unbound identifier: zz"
+
+
+def test_elab_rebinds_enclosing_binders():
+    # outside the term `a` is Var(0) and `B` Var(1); a parsed binder shadows them
+    binders = ["B", "a"]
+    assert E.elab_term(P.parse_term("\\x -> x a"), binders, ()) == Lambda(Apply(Var(0), Var(1)))
+    assert E.elab_term(P.parse_term("\\a -> a"), binders, ()) == Lambda(Var(0))
+    assert E.elab_term(P.parse_term("(x : B) -> B"), binders, ()) == Pi(Var(1), Var(2))
+    j = E.elab_term(P.parse_term("J (\\u v q -> B) (\\u -> a) a a (refl a)"), binders, ())
+    assert j == J(Var(4), Var(1), Var(0), Var(0), Refl(Var(0)))
+    # a non-lambda motive is the function applied to the motive's binders
+    j = E.elab_term(P.parse_term("J (f B) (\\u -> a) a a (refl a)"), binders, {"f"})
+    assert j.motive == Apply(Apply(Apply(Apply(Constant("f"), Var(4)), Var(2)), Var(1)), Var(0))
 
 
 def test_elab_application_left_assoc():
