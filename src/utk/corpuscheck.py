@@ -75,7 +75,7 @@ def verify_corpus(scope: K.GlobalScope, entries: list) -> Report:
     statement shape."""
     report = Report()
     for entry in entries:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             if entry.identifier not in scope:
                 raise MissingTheoremError(f"missing theorem: {entry.identifier}")
@@ -93,8 +93,8 @@ def verify_corpus(scope: K.GlobalScope, entries: list) -> Report:
                 raise StatementShapeMismatchError(
                     f"statement shape mismatch for {entry.identifier}: "
                     f"expected {entry.statement}")
-            report.add_ok(f"{entry.identifier} [{entry.anchor}]", time.time() - t0)
+            report.add_ok(f"{entry.identifier} [{entry.anchor}]", time.perf_counter() - t0)
         except CorpusError as exc:
             report.add_error(f"{entry.identifier} [{entry.anchor}]", str(exc),
-                             time.time() - t0)
+                             time.perf_counter() - t0)
     return report

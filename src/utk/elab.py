@@ -70,7 +70,7 @@ def elaborate_and_check(decls, opaque=frozenset()):
     core = []
     report = Report()
     for decl in decls:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             constants = scope.entries.keys()
             decl = Declaration(
@@ -86,11 +86,11 @@ def elaborate_and_check(decls, opaque=frozenset()):
         except (ElabError, K.KernelError, S.MalformedTermError) as exc:
             if not isinstance(exc, K.DeclarationError):
                 exc = K.DeclarationError(decl.name, exc)
-            report.add_error(decl.name, str(exc.cause), time.time() - t0)
+            report.add_error(decl.name, str(exc.cause), time.perf_counter() - t0)
             return core, scope, report, exc
         scope.add(decl.name, entry)
         core.append(decl)
-        report.add_ok(decl.name, time.time() - t0)
+        report.add_ok(decl.name, time.perf_counter() - t0)
     return core, scope, report, None
 
 

@@ -18,7 +18,8 @@ from .interval import (
 )
 from .cset import (
     CSetMap, Cofibration, CubeMap, CubicalSet, Family, ProductIntervalCSet,
-    ReindexedFamily, RestrictedCSet, cof_endpoints, fst_map, pairing_map,
+    ReindexedFamily, RestrictedCSet, _factor, cof_endpoints, fst_map,
+    pairing_map,
 )
 from .fib import (
     CompositionError, Fib, Problem, clause_path, clause_stage, comp_unit,
@@ -332,11 +333,18 @@ class ContractionFamily(Family):
         super().__init__(product)
         self.A = A
         self.name = f"C({A.name})"
+        self._fibers = {}  # (context, rho) -> the fiber, as a tuple
 
     def fiber(self, context, rho):
+        key = (context, rho)
+        out = self._fibers.get(key)
+        if out is None:
+            out = self._fibers[key] = tuple(self._enumerate(context, rho))
+        return list(out)  # a fresh list: callers may mutate it
+
+    def _enumerate(self, context, rho):
         x, r = rho
-        face0 = face_of_eq(r, 0)
-        clauses = face0.clauses()
+        clauses = face_of_eq(r, 0).clauses()
         if not clauses:
             return [frozenset()]
         choices = []
@@ -345,11 +353,8 @@ class ContractionFamily(Family):
             g = CubeMap.face(context, clause)
             xr = self.base.base.restrict(context, g, x)
             choices.append([(clause, v) for v in self.A.fiber(stage, xr)])
-        out = []
-        for combo in itertools.product(*choices):
-            if self._compatible(context, x, dict(combo)):
-                out.append(frozenset(combo))
-        return out
+        return [frozenset(combo) for combo in itertools.product(*choices)
+                if self._compatible(context, x, dict(combo))]
 
     def _compatible(self, context, x, values) -> bool:
         for c1 in values:
@@ -384,8 +389,7 @@ class ContractionFamily(Family):
 
     def element_at(self, context, x, values: frozenset, clause: frozenset):
         """Resolve a partial element at any clause of its face."""
-        d = dict(values)
-        for c, v in d.items():
+        for c, v in values:
             if c <= clause:
                 return self._restrict_value(context, x, c, v, clause)
         raise ModelError("partial element undefined at the requested clause")
@@ -400,22 +404,15 @@ class ContractionFamily(Family):
         for clause in face0.clauses():
             m = f.then(CubeMap.face(target, clause))
             # factor m through a clause of (r = 0)
-            factored = None
-            for c, v in dict(a).items():
-                fixed = dict(c)
-                if all(dm_is_const(m.assignment[nm], e)
-                       for nm, e in c):
-                    rest = {nm: m.assignment[nm] for nm in context
-                            if nm not in fixed}
-                    stage = clause_stage(context, c)
-                    remainder = CubeMap.make(stage, clause_stage(target, clause), rest)
+            for c, v in a:
+                remainder = _factor(m, c)
+                if remainder is not None:
                     xr = base.restrict(context, CubeMap.face(context, c), x)
-                    factored = self.A.restrict(stage, xr, remainder, v)
+                    out.append((clause, self.A.restrict(remainder.src, xr, remainder, v)))
                     break
-            if factored is None:
+            else:
                 raise ModelError(
                     "restriction does not factor through the recorded clauses")
-            out.append((clause, factored))
         return frozenset(out)
 
 

@@ -13,9 +13,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .interval import (
-    DM, Face, ModelError, ctx_sorted, dm_all, dm_basic, dm_const, dm_join,
-    dm_meet, dm_neg, dm_show, dm_subst, dm_sym, face_bot, face_of_eq, face_or,
-    face_top,
+    DM, Face, ModelError, ctx_sorted, dm_all, dm_basic, dm_const, dm_is_const,
+    dm_join, dm_meet, dm_neg, dm_show, dm_subst, dm_sym, face_bot, face_of_eq,
+    face_or, face_top,
 )
 
 CANONICAL_DIMS = ("i", "j", "k")
@@ -101,6 +101,17 @@ def _compose(f: CubeMap, g: CubeMap) -> CubeMap:
 @lru_cache(maxsize=None)
 def _apply_cached(f: CubeMap, r: DM) -> DM:
     return dm_subst(r, f.assignment, f.dst)
+
+
+@lru_cache(maxsize=None)
+def _factor(m: CubeMap, clause: frozenset):
+    """The remainder r with `CubeMap.face(m.src, clause).then(r) is m`, or
+    None when m does not send each name of the clause to its endpoint."""
+    if not all(dm_is_const(m.assignment[nm], e) for nm, e in clause):
+        return None
+    killed = {nm for nm, _ in clause}
+    return CubeMap.make(m.src - killed, m.dst,
+                        {nm: e for nm, e in m.assign if nm not in killed})
 
 
 @lru_cache(maxsize=None)
@@ -273,12 +284,17 @@ class Cofibration:
     def __init__(self, fn, name="phi"):
         self.fn = fn
         self.name = name
+        self._holds = {}  # (context, cell) -> truth; `fn` is pure
 
     def face(self, context: frozenset, x) -> Face:
         return self.fn(context, x)
 
     def holds(self, context: frozenset, x) -> bool:
-        return self.face(context, x).is_top
+        key = (context, x)
+        out = self._holds.get(key)
+        if out is None:
+            out = self._holds[key] = self.fn(context, x).is_top
+        return out
 
 
 def cof_false():

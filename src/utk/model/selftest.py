@@ -115,17 +115,17 @@ def fibs_equal(f1: Fib, f2: Fib, max_dim: int = 2) -> list:
 
 
 def _run_check(report: Report, name: str, fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         violations = fn()
         if violations:
             sample = violations[0]
             report.add_error(name, f"{len(violations)} violations, first: {sample!r}"[:300],
-                             time.time() - t0)
+                             time.perf_counter() - t0)
         else:
-            report.add_ok(name, time.time() - t0)
+            report.add_ok(name, time.perf_counter() - t0)
     except Exception as exc:
-        report.add_error(name, f"exception: {exc}", time.time() - t0)
+        report.add_error(name, f"exception: {exc}", time.perf_counter() - t0)
 
 
 # The three check shapes most checks are built from.

@@ -45,8 +45,6 @@ class DuplicateNameError(ParseError):
 
 # Tokenizer -----------------------------------------------------------------
 
-KEYWORDS = {"def", "postulate", "fst", "snd", "refl", "J", "Id"}
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r]+)
@@ -87,7 +85,7 @@ def tokenize(source: str):
         elif kind in ("ws", "comment"):
             col += len(text)
         else:
-            if kind == "ident" and text in KEYWORDS:
+            if kind == "ident" and text in S.KEYWORDS:
                 tokens.append(Token(text, text, line, col))
             elif kind == "ident" and text == "_":
                 tokens.append(Token("_", text, line, col))

@@ -274,15 +274,17 @@ def shift(term: Term, by: int, cutoff: int = 0) -> Term:
 # Pretty printing.  Output re-parses (see `utk.parser`) to an alpha
 # equivalent term; binder hints are freshened against everything in scope.
 
-_RESERVED = {"def", "postulate", "fst", "snd", "refl", "J", "Id"}
+# The surface keywords: the parser's tokenizer reads them as keywords, so the
+# printer never names a binder with one.
+KEYWORDS = frozenset({"def", "postulate", "fst", "snd", "refl", "J", "Id"})
 
 
 def _fresh(hint: str, avoid: set) -> str:
     base = hint if hint and hint != "_" else "x"
-    if base not in avoid and base not in _RESERVED:
+    if base not in avoid and base not in KEYWORDS:
         return base
     n = 1
-    while f"{base}{n}" in avoid or f"{base}{n}" in _RESERVED:
+    while f"{base}{n}" in avoid or f"{base}{n}" in KEYWORDS:
         n += 1
     return f"{base}{n}"
 
@@ -316,7 +318,7 @@ def _unbind(names: list, avoid: set, k: int):
 # prec: 0 = term (arrows, lambdas), 1 = application, 2 = atom.  A former is
 # parenthesized where its context needs a tighter precedence than its own.
 _PREC = {Pi: 0, Sigma: 0, Lambda: 0, Apply: 1, Fst: 1, Snd: 1, Refl: 1, Id: 1, J: 1}
-_KEYWORDS = {Fst: "fst", Snd: "snd", Refl: "refl", Id: "Id"}
+_WORD_OF = {Fst: "fst", Snd: "snd", Refl: "refl", Id: "Id"}
 
 
 def _emit(term: Term, prec: int, names: list, avoid: set, unnamed: set, put):
@@ -374,7 +376,7 @@ def _emit(term: Term, prec: int, names: list, avoid: set, unnamed: set, put):
             _unbind(names, avoid, 1)
             put(")")
         else:
-            put(_KEYWORDS[cls])
+            put(_WORD_OF[cls])
         for name, binds in SUBTERMS[cls]:
             if not binds:
                 put(" ")

@@ -22,7 +22,7 @@ def report_line(criterion: str, ok: bool):
 
 def test_criterion_1_corpus_completeness(checked_corpus):
     t0 = time.time()
-    core, scope, report = C.check_corpus()
+    _, scope, report = C.check_corpus()
     ok = report.ok
     if ok:
         verify = C.verify_corpus(scope, C.load_theorem_map())
@@ -64,7 +64,7 @@ def test_criterion_2_mutation_sensitivity(tmp_path):
                 out.append(line)
         path.write_text("\n".join(out))
         code = cli.run_cli(["corpus", "--dir", str(target), "--json"])
-        _, scope, report = C.check_corpus(target)
+        _, _, report = C.check_corpus(target)
         failing = report.entries[-1]
         named_theorem = failing.status == "error" and failing.name.startswith("thm_")
         if code == 1 and named_theorem:

@@ -48,7 +48,7 @@ def test_check_error_output(tmp_path, capsys, source, code, out, err):
 
 
 def test_check_missing_file(capsys):
-    code, _, err = run_cli(capsys, "check", "no/such/file.tt")
+    code, _, _ = run_cli(capsys, "check", "no/such/file.tt")
     assert code == 2
 
 

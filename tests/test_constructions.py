@@ -38,14 +38,14 @@ def test_realign_restriction_equation_exact():
 
 
 def test_isofib_identity_is_beta():
-    point, A, B, iso = point_fibs()
+    _, _, B, _ = point_fibs()
     ident = CO.isofib(CO.identity_iso(B.family), B)
     for problem in list(ST.enumerate_problems(B, 2))[:200]:
         assert ident.comp(problem) == B.comp(problem)
 
 
 def test_isofib_boundary():
-    point, A, B, iso = point_fibs()
+    _, _, B, iso = point_fibs()
     other = CO.isofib(iso, B)
     for problem in list(ST.enumerate_problems(other, 2))[:200]:
         result = other.comp(problem)
@@ -53,7 +53,7 @@ def test_isofib_boundary():
 
 
 def test_strictify_endpoint_cases():
-    point, A, B, iso = point_fibs()
+    _, A, B, iso = point_fibs()
     # bot: nothing changes
     fam, iso2 = CO.strictify(CS.cof_false(), A.family, B.family, iso)
     assert sorted(fam.fiber(E, "pt")) == sorted(B.family.fiber(E, "pt"))
@@ -76,7 +76,7 @@ def test_strictified_family_functorial_over_interval():
 
 
 def test_veebar_comp_delegates():
-    point, A, B, _ = point_fibs()
+    _, A, B, _ = point_fibs()
     vee, _ = CO.veebar(A, B)
     zctx = ctx("z")
     problem = FB.Problem(E, "z", 0, ("pt", dm_const(zctx, 1)), face_bot(E),
@@ -86,7 +86,7 @@ def test_veebar_comp_delegates():
 
 
 def test_veebar_rejects_diagonal_paths():
-    point, A, B, _ = point_fibs()
+    _, A, B, _ = point_fibs()
     vee, _ = CO.veebar(A, B)
     zctx = ctx("z")
     problem = FB.Problem(E, "z", 0, ("pt", dm_sym(zctx, "z")), face_bot(E),
@@ -96,7 +96,7 @@ def test_veebar_rejects_diagonal_paths():
 
 
 def test_isopath_coerce_swaps_two_points():
-    point, A, B, iso = point_fibs()
+    _, A, B, iso = point_fibs()
     path = CO.isopath(iso, A, B)
     assert CO.coerce_along(path, E, "pt", "x") == "s"
     assert CO.coerce_along(path, E, "pt", "y") == "t"
@@ -131,6 +131,20 @@ def test_contraction_fiber_shapes():
     assert at1 == [frozenset()]
 
 
+def test_contraction_fiber_is_a_fresh_list_on_each_call():
+    point = CS.PointCSet()
+    w = FX.interval_fib(point)
+    family = CO.contraction_fib(w, CO.extend_from_contractible(
+        w, FX.interval_contraction(point))).family
+    I = ctx("i")
+    for context, r in ((E, dm_const(E, 0)), (E, dm_const(E, 1)), (I, dm_sym(I, "i"))):
+        first = family.fiber(context, ("pt", r))
+        second = family.fiber(context, ("pt", r))
+        assert first == second and first is not second
+        first.append("junk")
+        assert family.fiber(context, ("pt", r)) == second
+
+
 def test_extension_structure_extends():
     point = CS.PointCSet()
     w = FX.interval_fib(point)
@@ -148,7 +162,7 @@ def test_extension_structure_extends():
 
 
 def test_coerce_iso_witness_endpoints():
-    point, A, B, iso = point_fibs()
+    _, A, B, iso = point_fibs()
     path = CO.isopath(iso, A, B)
     q = CO.coerce_iso_witness(iso, B, E, "pt", "x")
     W = ctx("w")

@@ -15,13 +15,13 @@ from utk import syntax as S
 
 
 def test_corpus_checks(checked_corpus):
-    core, scope, report = checked_corpus
+    core, _, report = checked_corpus
     assert report.ok, report.summary()
     assert len(core) > 100
 
 
 def test_theorem_map_verifies(checked_corpus):
-    core, scope, report = checked_corpus
+    _, scope, _ = checked_corpus
     result = C.verify_corpus(scope, C.load_theorem_map())
     assert result.ok, result.summary()
 
@@ -55,8 +55,6 @@ def _mutated_corpus(tmp_path, mutate):
 def test_mutation_deleting_axiom_breaks_downstream(tmp_path, axiom):
     def mutate(target):
         path = target / "axioms.tt"
-        decls = P.parse_program(path.read_text())
-        kept = []
         text = path.read_text().splitlines()
         out, skipping = [], False
         for line in text:
@@ -68,7 +66,7 @@ def test_mutation_deleting_axiom_breaks_downstream(tmp_path, axiom):
         path.write_text("\n".join(out))
 
     target = _mutated_corpus(tmp_path, mutate)
-    core, scope, report = C.check_corpus(target)
+    _, _, report = C.check_corpus(target)
     assert not report.ok
     failing = report.entries[-1]
     assert failing.status == "error"
@@ -88,7 +86,7 @@ def test_mutation_star_body_names_theorem(tmp_path):
         path.write_text(head + marker + "*\n\ndef naive_ua_section" + after)
 
     target = _mutated_corpus(tmp_path, mutate)
-    core, scope, report = C.check_corpus(target)
+    _, _, report = C.check_corpus(target)
     assert not report.ok
     assert report.entries[-1].name == "thm_naiveuniv_fwd"
 

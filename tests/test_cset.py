@@ -1,3 +1,5 @@
+import itertools
+
 from utk.model import cset as CS
 from utk.model import selftest as ST
 from utk.report import Report
@@ -46,7 +48,6 @@ def test_validate_constant_and_interval():
 
 
 def test_validate_product_and_total():
-    iv = CS.IntervalCSet()
     prod = CS.ProductIntervalCSet(CS.DiscreteCSet(["p"]))
     assert CS.validate_cset(prod, max_dim=2) == []
     fam = CS.ConstantFamily(CS.DiscreteCSet(["p", "q"]), ["x", "y"])
@@ -109,3 +110,35 @@ def test_cofibration_closed_under_restriction():
                 for dst in CS.enumerate_contexts(2):
                     for f in CS.enumerate_maps(context, dst)[:40]:
                         assert cof.holds(dst, iv.restrict(context, f, x))
+
+
+def test_memoised_holds_agrees_with_the_face():
+    iv = CS.IntervalCSet()
+    prod = CS.ProductIntervalCSet(CS.PointCSet())
+    cases = [(CS.cof_false(), iv), (CS.cof_true(), iv), (CS.cof_interval_eq(0), iv),
+             (CS.cof_interval_eq(1), iv), (CS.cof_endpoints(), prod)]
+    for cof, base in cases:
+        seen = set()
+        for _ in range(2):  # the first call decides, the repeat reads the memo
+            for context in CS.enumerate_contexts(2):
+                for x in base.sample_cells(context):
+                    assert cof.holds(context, x) is cof.face(context, x).is_top
+                    seen.add(cof.holds(context, x))
+        if cof.name not in ("bot", "top"):
+            assert seen == {False, True}, cof.name
+
+
+def test_factor_through_a_clause():
+    contexts = CS.enumerate_contexts(2)
+    for src in contexts:
+        names = sorted(src)
+        clauses = [frozenset((n, e) for n, e in zip(names, ends) if e is not None)
+                   for ends in itertools.product((None, 0, 1), repeat=len(names))]
+        for dst in contexts:
+            for m in CS.enumerate_maps(src, dst):
+                for c in clauses:
+                    remainder = CS._factor(m, c)
+                    sent = all(m.assignment[n] is dm_const(dst, e) for n, e in c)
+                    assert (remainder is not None) == sent, (m, c)
+                    if sent:
+                        assert CS.CubeMap.face(src, c).then(remainder) is m

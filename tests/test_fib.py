@@ -2,7 +2,7 @@ from utk.model import cset as CS
 from utk.model import fib as FB
 from utk.model import fixtures as FX
 from utk.model.interval import (
-    ctx, dm_const, dm_eq, dm_meet, dm_neg, dm_sym, face_bot,
+    ctx, dm_const, dm_eq, dm_neg, dm_sym, face_bot,
     face_eq_sym, face_or, face_top,
 )
 
@@ -87,7 +87,6 @@ def test_fill_agrees_with_partial_by_substitution():
     IW = I | {"w"}
     # on the wall i=0 the fill is the squashed wall value z /\ w
     wall = w.family.restrict(IW, "pt", CS.CubeMap.face(IW, frozenset({("i", 0)})), q)
-    expected = dm_meet(dm_sym(ctx("w"), "w"), dm_const(ctx("w"), 1))
     assert dm_eq(wall, dm_sym(ctx("w"), "w"))
     # at w=1 the fill solves the problem
     top = w.family.restrict(IW, "pt", CS.CubeMap.face(IW, frozenset({("w", 1)})), q)
@@ -95,8 +94,7 @@ def test_fill_agrees_with_partial_by_substitution():
 
 
 def test_sigma_comp_discrete_slices():
-    base, A, B, sigma = FX.sigma_fixture()
-    total = B.family.base
+    _, _, _, sigma = FX.sigma_fixture()
     # a problem with empty cofibration: first component stays, second
     # composes in its slice
     problem = mkproblem(sigma, E, "p", a0=("a1", dm_const(E, 0)))
@@ -107,7 +105,7 @@ def test_sigma_comp_discrete_slices():
 
 
 def test_sigma_comp_forced_by_top():
-    base, A, B, sigma = FX.sigma_fixture()
+    _, _, _, sigma = FX.sigma_fixture()
     z = dm_sym(ctx("z"), "z")
     problem = mkproblem(sigma, E, "p", e=0, phi=face_top(E),
                         values={frozenset(): ("a1", z)},

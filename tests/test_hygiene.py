@@ -122,7 +122,8 @@ def _unread_locals(tree: ast.Module) -> list:
 def test_every_local_is_read():
     """A local a function assigns and never reads is dead code, or a value
     computed for nothing; bind a deliberately unused value to `_`."""
-    unread = [f"{path.relative_to(PACKAGE)}:{line} {name}"
-              for path in sorted(PACKAGE.rglob("*.py"))
+    unread = [f"{root.name}/{path.relative_to(root)}:{line} {name}"
+              for root, paths in ((PACKAGE, PACKAGE.rglob("*.py")), (TESTS, TESTS.glob("*.py")))
+              for path in sorted(paths)
               for line, name in _unread_locals(ast.parse(path.read_text(), str(path)))]
     assert unread == []

@@ -54,7 +54,7 @@ PROBES = {
 @pytest.mark.parametrize("rule", sorted(PROBES))
 def test_kernel_rejects_probe(rule):
     decls = P.parse_program(PROBES[rule])
-    _, _, report, failure = E.elaborate_and_check(decls)
+    _, _, _, failure = E.elaborate_and_check(decls)
     assert failure is not None, f"{rule}: the probe was accepted"
     assert failure.decl_name == "bad"
     assert isinstance(failure.cause, K.KernelError), failure.cause

@@ -109,7 +109,7 @@ def test_j_motive_stripping():
         "def tr : (A : U0) -> (P : A -> U0) -> (x : A) -> (y : A) -> Id A x y -> P x -> P y\n"
         "  := \\A P x y p -> J (\\u v q -> P u -> P v) (\\u px -> px) x y p"
     )
-    decls, scope, _, _ = E.elaborate_and_check(P.parse_program(src))
+    decls, _, _, _ = E.elaborate_and_check(P.parse_program(src))
     body = decls[0].body
     j = body
     while isinstance(j, Lambda):
@@ -166,7 +166,7 @@ def test_elaborate_outputs_validate():
         "postulate X : U0\n"
         "def cx : X -> X -> X := const X X\n"
     )
-    decls, scope, _, _ = E.elaborate_and_check(P.parse_program(src))
+    decls, _, _, _ = E.elaborate_and_check(P.parse_program(src))
     for d in decls:
         assert S.validate(d.type, 0)
         if d.body is not None:

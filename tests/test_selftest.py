@@ -97,7 +97,7 @@ def test_boundary_flags_a_composition_that_ignores_the_walls():
 
 
 def test_endpoints_flags_a_wrong_recorded_target():
-    A, B, iso, path = two_point_path()
+    A, _, _, path = two_point_path()
     assert ST._endpoints(path, 2) == []
     wrong = CO.FibPath(path.line, A, A)
     assert ST._endpoints(wrong, 2)
