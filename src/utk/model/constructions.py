@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .interval import (
-    ModelError, dm_is_const, dm_sym, face_and, face_bot, face_eq_sym,
-    face_forall, face_of_eq, face_or, face_subst_clause, face_top,
+    ModelError, dm_is_const, dm_sym, face_bot, face_forall, face_of_eq, face_or,
+    face_subst_clause,
 )
 from .cset import (
     CSetMap, Cofibration, CubeMap, CubicalSet, Family, ProductIntervalCSet,
@@ -70,13 +70,6 @@ class ContrStruct:
     path: object  # (I, rho, a, z) -> element over I+{z}, centre at 0, a at 1
 
 
-@dataclass
-class ExtStruct:
-    """Extends every cofibrant partial element of each fiber."""
-
-    extend: object  # (I, rho, phi: Face, values: {clause: element}) -> element
-
-
 def reindex_fib(fib: Fib, gamma: CSetMap, name: str = None) -> Fib:
     """Pull a fibration back along a map of bases; composition pushes the
     problem's path forward."""
@@ -107,13 +100,7 @@ def realign(cof: Cofibration, beta: Fib, alpha: Fib, name: str = None) -> Fib:
     structure extends every problem by the fill of beta over the region where
     the whole path satisfies the cofibration.
     """
-    family, base = alpha.family, alpha.base
-
-    def face_of_clause(I, clause):
-        f = face_top(I)
-        for nm, e in clause:
-            f = face_and(f, face_eq_sym(I, nm, e))
-        return f
+    family = alpha.family
 
     def comp(problem: Problem):
         phi_p = cof.face(problem.zctx, problem.path)
@@ -121,11 +108,11 @@ def realign(cof: Cofibration, beta: Fib, alpha: Fib, name: str = None) -> Fib:
         phi2 = face_or(problem.phi, allf)
         values = {}
         for clause in phi2.clauses():
-            if face_of_clause(problem.I, clause).entails(allf):
-                restricted = restrict_problem(family, base, problem, clause)
+            if face_subst_clause(allf, clause).is_top:  # the clause entails allf
+                restricted = restrict_problem(family, problem, clause)
                 values[clause] = fill_path(beta, restricted)
             else:
-                values[clause] = partial_at(family, base, problem, clause)
+                values[clause] = partial_at(family, problem, clause)
         return alpha.comp(replace(problem, phi=phi2, values=values))
 
     return Fib(family, comp, name=name or f"realign({alpha.name})")
@@ -179,12 +166,12 @@ class StrictifiedFamily(Family):
             return self.partial.contains(context, rho, a)
         return self.total.contains(context, rho, a)
 
-    def restrict(self, context, rho, f, x):
-        if self.cof.holds(context, rho):
-            return self.partial.restrict(context, rho, f, x)
-        rho_f = self.base.restrict(context, f, rho)
+    def restrict(self, rho, f, x):
+        if self.cof.holds(f.src, rho):
+            return self.partial.restrict(rho, f, x)
+        rho_f = self.base.restrict(f, rho)
         lands_inside = self.cof.holds(f.dst, rho_f)
-        y = self.total.restrict(context, rho, f, x)
+        y = self.total.restrict(rho, f, x)
         if lands_inside:
             return self.iso.bwd(f.dst, rho_f, y)
         return y
@@ -249,8 +236,8 @@ class VeebarFamily(Family):
     def contains(self, context, rho, a):
         return self.sides[_side(rho)].contains(context, rho[0], a)
 
-    def restrict(self, context, rho, f, a):
-        return self.sides[_side(rho)].restrict(context, rho[0], f, a)
+    def restrict(self, rho, f, a):
+        return self.sides[_side(rho)].restrict(rho[0], f, a)
 
 
 def veebar(A: Fib, B: Fib, iso0: Optional[StrictIso] = None,
@@ -305,7 +292,7 @@ def coerce_along(P: FibPath, I: frozenset, x, a, z: str = "z"):
     to 1 over the path (x, z)."""
     product = P.line.base  # base*I
     zctx = I | {z}
-    x_w = product.base.restrict(I, CubeMap.weaken(I, zctx), x)
+    x_w = product.base.restrict(CubeMap.weaken(I, zctx), x)
     path = (x_w, dm_sym(zctx, z))
     problem = Problem(I, z, 0, path, face_bot(I), {}, a)
     return P.line.comp(problem)
@@ -316,7 +303,7 @@ def coerce_iso_witness(iso: StrictIso, B: Fib, I: frozenset, x, a, w: str = "w")
     the coercion along isopath(iso): the degenerate fill of the empty
     problem at iso.fwd(a)."""
     zctx = I | {"z"}
-    x_w = B.base.restrict(I, CubeMap.weaken(I, zctx), x)
+    x_w = B.base.restrict(CubeMap.weaken(I, zctx), x)
     problem = Problem(I, "z", 0, x_w, face_bot(I), {}, iso.fwd(I, x, a))
     return fill(B, problem, w)
 
@@ -350,31 +337,27 @@ class ContractionFamily(Family):
         choices = []
         for clause in clauses:
             stage = clause_stage(context, clause)
-            g = CubeMap.face(context, clause)
-            xr = self.base.base.restrict(context, g, x)
+            xr = self.base.base.restrict(CubeMap.face(context, clause), x)
             choices.append([(clause, v) for v in self.A.fiber(stage, xr)])
         return [frozenset(combo) for combo in itertools.product(*choices)
                 if self._compatible(context, x, dict(combo))]
 
     def _compatible(self, context, x, values) -> bool:
-        for c1 in values:
-            for c2 in values:
-                if c1 >= c2:
-                    continue
-                merged = dict(c1)
-                ok = True
-                for nm, e in c2:
-                    if merged.get(nm, e) != e:
-                        ok = False
-                        break
-                    merged[nm] = e
-                if not ok:
-                    continue  # inconsistent overlap
-                union = frozenset(merged.items())
-                v1 = self._restrict_value(context, x, c1, values[c1], union)
-                v2 = self._restrict_value(context, x, c2, values[c2], union)
-                if v1 != v2:
-                    return False
+        for c1, c2 in itertools.combinations(values, 2):
+            merged = dict(c1)
+            ok = True
+            for nm, e in c2:
+                if merged.get(nm, e) != e:
+                    ok = False
+                    break
+                merged[nm] = e
+            if not ok:
+                continue  # inconsistent overlap
+            union = frozenset(merged.items())
+            v1 = self._restrict_value(context, x, c1, values[c1], union)
+            v2 = self._restrict_value(context, x, c2, values[c2], union)
+            if v1 != v2:
+                return False
         return True
 
     def _restrict_value(self, context, x, clause, value, to_clause):
@@ -383,9 +366,8 @@ class ContractionFamily(Family):
         extra = frozenset(to_clause - clause)
         if not extra:
             return value
-        g = CubeMap.face(context, clause)
-        xr = base.restrict(context, g, x)
-        return self.A.restrict(stage, xr, CubeMap.face(stage, extra), value)
+        xr = base.restrict(CubeMap.face(context, clause), x)
+        return self.A.restrict(xr, CubeMap.face(stage, extra), value)
 
     def element_at(self, context, x, values: frozenset, clause: frozenset):
         """Resolve a partial element at any clause of its face."""
@@ -394,7 +376,7 @@ class ContractionFamily(Family):
                 return self._restrict_value(context, x, c, v, clause)
         raise ModelError("partial element undefined at the requested clause")
 
-    def restrict(self, context, rho, f, a):
+    def restrict(self, rho, f, a):
         x, r = rho
         base = self.base.base
         target = f.dst
@@ -407,8 +389,8 @@ class ContractionFamily(Family):
             for c, v in a:
                 remainder = _factor(m, c)
                 if remainder is not None:
-                    xr = base.restrict(context, CubeMap.face(context, c), x)
-                    out.append((clause, self.A.restrict(remainder.src, xr, remainder, v)))
+                    xr = base.restrict(CubeMap.face(f.src, c), x)
+                    out.append((clause, self.A.restrict(xr, remainder, v)))
                     break
             else:
                 raise ModelError(
@@ -416,9 +398,10 @@ class ContractionFamily(Family):
         return frozenset(out)
 
 
-def contraction_fib(A: Fib, ext: ExtStruct) -> Fib:
+def contraction_fib(A: Fib, extend) -> Fib:
     """The contraction C_A with the composition induced by an extension
-    structure: each boundary value is extended fiberwise."""
+    structure `extend(I, rho, phi, values)`, which extends every cofibrant
+    partial element of a fiber: each boundary value is extended fiberwise."""
     base = A.base
     product = ProductIntervalCSet(base)
     family = ContractionFamily(A.family, product)
@@ -427,59 +410,58 @@ def contraction_fib(A: Fib, ext: ExtStruct) -> Fib:
         x_path, r_path = problem.path
         end = 1 - problem.e
         end_map = problem.end_map(end)
-        end_x = base.restrict(problem.zctx, end_map, x_path)
+        end_x = base.restrict(end_map, x_path)
         end_r = end_map.apply_dm(r_path)
         face0 = face_of_eq(end_r, 0)
         out = []
         for clause in face0.clauses():
             stage = clause_stage(problem.I, clause)
-            x_c = base.restrict(problem.I, CubeMap.face(problem.I, clause), end_x)
+            x_c = base.restrict(CubeMap.face(problem.I, clause), end_x)
             phi_c = face_subst_clause(problem.phi, clause)
             values = {}
             for v in phi_c.clauses():
                 union = frozenset(clause | v)
-                cav = partial_at(family, family.base, problem, union)
+                cav = partial_at(family, problem, union)
                 stage_u = clause_stage(problem.I, union)
                 stage_uz = stage_u | {problem.z}
                 pth = clause_path(family.base, problem, union)
                 ez = CubeMap.face(stage_uz, frozenset({(problem.z, end)}))
-                at_end = family.restrict(stage_uz, pth, ez, cav)
+                at_end = family.restrict(pth, ez, cav)
                 # the end face is trivially true under the clause, so the
                 # partial element is total; its value sits at the empty clause
-                x_u, _ = family.base.restrict(stage_uz, ez, pth)
+                x_u, _ = family.base.restrict(ez, pth)
                 values[v] = family.element_at(stage_u, x_u, at_end, frozenset())
-            out.append((clause, ext.extend(stage, x_c, phi_c, values)))
+            out.append((clause, extend(stage, x_c, phi_c, values)))
         return frozenset(out)
 
     return Fib(family, comp, name=f"C({A.name})")
 
 
-def extend_from_contractible(A: Fib, contr: ContrStruct) -> ExtStruct:
-    """A fibrant contractible family extends partial elements: compose from
-    the centre along the contraction paths."""
+def extend_from_contractible(A: Fib, contr: ContrStruct):
+    """A fibrant contractible family extends partial elements: the extension
+    structure composes from the centre along the contraction paths."""
     base = A.base
 
     def extend(I, x, phi, values):
         z = _fresh_dim(I)
         zctx = I | {z}
-        x_w = base.restrict(I, CubeMap.weaken(I, zctx), x)
+        x_w = base.restrict(CubeMap.weaken(I, zctx), x)
         path_values = {}
         for clause, v in values.items():
             stage = clause_stage(I, clause)
-            xr = base.restrict(I, CubeMap.face(I, clause), x)
+            xr = base.restrict(CubeMap.face(I, clause), x)
             path_values[clause] = contr.path(stage, xr, v, z)
         problem = Problem(I, z, 0, x_w, phi, path_values, contr.centre(I, x))
         return A.comp(problem)
 
-    return ExtStruct(extend)
+    return extend
 
 
 def contract_path(A: Fib, contr: ContrStruct) -> FibPath:
     """The path from a contractible fibration to the unit: improve the
     contraction C_A along the evident endpoint isomorphisms."""
     base = A.base
-    ext = extend_from_contractible(A, contr)
-    cfib = contraction_fib(A, ext)
+    cfib = contraction_fib(A, extend_from_contractible(A, contr))
     unit = comp_unit(base)
     family = cfib.family
 

@@ -1,9 +1,12 @@
 """Cubical sets and families of sets over them, dimension truncated.
 
-A cubical set assigns a finite set of cells to each dimension context and a
-substitution action to each cube map; the action direction follows the
-substitution: a map with source I and target J assigns to every I-symbol a
-De Morgan element over J, and carries I-cells to J-cells.
+A cubical set assigns cells to each dimension context and an action x·f to
+each cube map f; the action direction follows the substitution: a map with
+source I and target J assigns to every I-symbol a De Morgan element over J,
+and carries I-cells to J-cells.  The action reads only f and x, since the
+stage of x is f.src.  `cells` is the one enumeration of a stage: every cell
+of a finite constant presheaf, a representative family for interval-shaped
+ones.
 """
 
 from __future__ import annotations
@@ -140,15 +143,14 @@ class CubicalSet:
     name = "cset"
 
     def cells(self, context: frozenset) -> list:
+        """The cells that problem enumeration and the law checks visit over
+        context: all of them for a finite constant presheaf, a representative
+        family (see `sample_dm`) when the interval makes the stage large."""
         raise NotImplementedError
 
-    def restrict(self, context: frozenset, f: CubeMap, x):
+    def restrict(self, f: CubeMap, x):
+        """x·f: carry the cell x over f.src to a cell over f.dst."""
         raise NotImplementedError
-
-    def sample_cells(self, context: frozenset) -> list:
-        """Cells used when enumerating composition problems; subclasses with
-        large objects override this with a representative family."""
-        return self.cells(context)
 
 
 class PointCSet(CubicalSet):
@@ -157,7 +159,7 @@ class PointCSet(CubicalSet):
     def cells(self, context):
         return ["pt"]
 
-    def restrict(self, context, f, x):
+    def restrict(self, f, x):
         if x != "pt":
             raise ElementNotInObjectError(f"{x!r} not a point cell")
         return "pt"
@@ -173,25 +175,22 @@ class DiscreteCSet(CubicalSet):
     def cells(self, context):
         return list(self.labels)
 
-    def restrict(self, context, f, x):
+    def restrict(self, f, x):
         if x not in self.labels:
             raise ElementNotInObjectError(f"{x!r} not among {self.labels}")
         return x
 
 
 class IntervalCSet(CubicalSet):
-    """The representable interval: cells over I are dm(I), action is
-    substitution."""
+    """The representable interval: the cells over I are dm(I), of which
+    `cells` lists `sample_dm(I)`; the action is substitution."""
 
     name = "interval"
 
     def cells(self, context):
-        return list(dm_all(context))
-
-    def sample_cells(self, context):
         return list(sample_dm(context))
 
-    def restrict(self, context, f, x):
+    def restrict(self, f, x):
         return f.apply_dm(x)
 
 
@@ -203,15 +202,11 @@ class ProductIntervalCSet(CubicalSet):
         self.name = f"{base.name}*I"
 
     def cells(self, context):
-        return [(x, r) for x in self.base.cells(context) for r in dm_all(context)]
+        return [(x, r) for x in self.base.cells(context) for r in sample_dm(context)]
 
-    def sample_cells(self, context):
-        return [(x, r) for x in self.base.sample_cells(context)
-                for r in sample_dm(context)]
-
-    def restrict(self, context, f, x):
+    def restrict(self, f, x):
         b, r = x
-        return (self.base.restrict(context, f, b), f.apply_dm(r))
+        return (self.base.restrict(f, b), f.apply_dm(r))
 
 
 class RestrictedCSet(CubicalSet):
@@ -225,39 +220,28 @@ class RestrictedCSet(CubicalSet):
     def cells(self, context):
         return [x for x in self.base.cells(context) if self.cof.holds(context, x)]
 
-    def sample_cells(self, context):
-        return [x for x in self.base.sample_cells(context) if self.cof.holds(context, x)]
-
-    def restrict(self, context, f, x):
-        return self.base.restrict(context, f, x)
+    def restrict(self, f, x):
+        return self.base.restrict(f, x)
 
 
 class TotalCSet(CubicalSet):
-    """Base extended by a family: cells are pairs (rho, a)."""
+    """Base extended by a family: cells are pairs (rho, a).  It is only the
+    base of dependent families; nothing enumerates its cells."""
 
     def __init__(self, base: CubicalSet, family):
         self.base = base
         self.family = family
         self.name = f"{base.name}.{family.name}"
 
-    def cells(self, context):
-        return [(x, a) for x in self.base.cells(context)
-                for a in self.family.fiber(context, x)]
-
-    def sample_cells(self, context):
-        return [(x, a) for x in self.base.sample_cells(context)
-                for a in self.family.fiber(context, x)]
-
-    def restrict(self, context, f, x):
+    def restrict(self, f, x):
         b, a = x
-        return (self.base.restrict(context, f, b),
-                self.family.restrict(context, b, f, a))
+        return (self.base.restrict(f, b), self.family.restrict(b, f, a))
 
 
 class TabularCSet(CubicalSet):
-    """Explicit finite presheaf given by tables; used for loaded fixtures and
-    fault-injection tests.  Missing action entries fall back to the identity
-    on cells (the discrete action)."""
+    """Explicit finite presheaf given by tables, for fault-injection tests.
+    Missing action entries fall back to the identity on cells (the discrete
+    action)."""
 
     def __init__(self, cells_by_dim: dict, action: dict = None, name="table"):
         self._cells = {frozenset(k): list(v) for k, v in cells_by_dim.items()}
@@ -269,7 +253,7 @@ class TabularCSet(CubicalSet):
             raise ElementNotInObjectError(f"no cells recorded at {sorted(context)}")
         return list(self._cells[context])
 
-    def restrict(self, context, f, x):
+    def restrict(self, f, x):
         key = (f, x)
         if key in self.action:
             return self.action[key]
@@ -342,9 +326,9 @@ class Family:
         with large fibers override this with a representative part."""
         return self.fiber(context, rho)
 
-    def restrict(self, context: frozenset, rho, f: CubeMap, a):
-        """Carry a in the fiber over (context, rho) to the fiber over
-        (f.dst, rho f)."""
+    def restrict(self, rho, f: CubeMap, a):
+        """a·f: carry a in the fiber over (f.src, rho) to the fiber over
+        (f.dst, rho·f)."""
         raise NotImplementedError
 
 
@@ -357,7 +341,7 @@ class ConstantFamily(Family):
     def fiber(self, context, rho):
         return list(self.labels)
 
-    def restrict(self, context, rho, f, a):
+    def restrict(self, rho, f, a):
         if a not in self.labels:
             raise ElementNotInObjectError(f"{a!r} not among {self.labels}")
         return a
@@ -369,7 +353,7 @@ class UnitFamily(Family):
     def fiber(self, context, rho):
         return ["*"]
 
-    def restrict(self, context, rho, f, a):
+    def restrict(self, rho, f, a):
         return "*"
 
 
@@ -391,7 +375,7 @@ class IntervalFamily(Family):
     def contains(self, context, rho, a):
         return isinstance(a, DM) and a.ctx == context
 
-    def restrict(self, context, rho, f, a):
+    def restrict(self, rho, f, a):
         return f.apply_dm(a)
 
 
@@ -411,10 +395,9 @@ class SigmaFamily(Family):
                 out.append((a, b))
         return out
 
-    def restrict(self, context, rho, f, ab):
+    def restrict(self, rho, f, ab):
         a, b = ab
-        return (self.first.restrict(context, rho, f, a),
-                self.second.restrict(context, (rho, a), f, b))
+        return (self.first.restrict(rho, f, a), self.second.restrict((rho, a), f, b))
 
 
 class ReindexedFamily(Family):
@@ -432,8 +415,8 @@ class ReindexedFamily(Family):
     def contains(self, context, rho, a):
         return self.family.contains(context, self.gamma.apply(context, rho), a)
 
-    def restrict(self, context, rho, f, a):
-        return self.family.restrict(context, self.gamma.apply(context, rho), f, a)
+    def restrict(self, rho, f, a):
+        return self.family.restrict(self.gamma.apply(f.src, rho), f, a)
 
 
 class CSetMap:
@@ -447,11 +430,6 @@ class CSetMap:
 
     def apply(self, context: frozenset, x):
         return self.fn(context, x)
-
-    def then(self, other: "CSetMap") -> "CSetMap":
-        return CSetMap(self.src, other.dst,
-                       lambda c, x: other.apply(c, self.apply(c, x)),
-                       f"{self.name};{other.name}")
 
 
 def pairing_map(base: CubicalSet, product: ProductIntervalCSet, endpoint: int,
@@ -511,8 +489,8 @@ def restrict_element(X, f: CubeMap, x):
     pair (rho, a)."""
     if isinstance(X, Family):
         rho, a = x
-        return (X.base.restrict(f.src, f, rho), X.restrict(f.src, rho, f, a))
-    return X.restrict(f.src, f, x)
+        return (X.base.restrict(f, rho), X.restrict(rho, f, a))
+    return X.restrict(f, x)
 
 
 def validate_cset(X, max_dim: int = 2, max_points: int = 24,
@@ -529,10 +507,10 @@ def validate_cset(X, max_dim: int = 2, max_points: int = 24,
 
     def points(context):
         if is_family:
-            pts = [(rho, a) for rho in X.base.sample_cells(context)
+            pts = [(rho, a) for rho in X.base.cells(context)
                    for a in X.fiber(context, rho)]
         else:
-            pts = X.sample_cells(context)
+            pts = X.cells(context)
         if len(pts) > max_points:
             step = max(1, len(pts) // max_points)
             pts = pts[::step]

@@ -62,17 +62,16 @@ class Fib:
 
 
 def path_at(base: CubicalSet, problem: Problem, endpoint: int):
-    return base.restrict(problem.zctx, problem.end_map(endpoint), problem.path)
+    return base.restrict(problem.end_map(endpoint), problem.path)
 
 
 def clause_path(base: CubicalSet, problem: Problem, clause: frozenset):
     """The path restricted under a clause's face map, still with direction z."""
     gz = extend_clause_map(CubeMap.face(problem.I, clause), problem.z)
-    return base.restrict(problem.zctx, gz, problem.path)
+    return base.restrict(gz, problem.path)
 
 
-def partial_at(family: Family, base: CubicalSet, problem: Problem,
-               clause: frozenset):
+def partial_at(family: Family, problem: Problem, clause: frozenset):
     """Value of the partial path at any clause entailing phi, resolved
     through a canonical clause it extends."""
     for c, value in problem.values.items():
@@ -80,36 +79,34 @@ def partial_at(family: Family, base: CubicalSet, problem: Problem,
             extra = frozenset(clause - c)
             if not extra:
                 return value
-            stage = clause_stage(problem.I, c) | {problem.z}
             f = extend_clause_map(
                 CubeMap.face(clause_stage(problem.I, c), extra), problem.z)
-            return family.restrict(stage, clause_path(base, problem, c), f, value)
+            return family.restrict(clause_path(family.base, problem, c), f, value)
     raise CompositionError(
         f"partial path has no value covering the clause {sorted(clause)}")
 
 
-def partial_end(family: Family, base: CubicalSet, problem: Problem,
-                clause: frozenset, endpoint: int):
+def partial_end(family: Family, problem: Problem, clause: frozenset,
+                endpoint: int):
     """Partial value at a clause, evaluated at a z endpoint."""
-    value = partial_at(family, base, problem, clause)
+    value = partial_at(family, problem, clause)
     stage = clause_stage(problem.I, clause) | {problem.z}
     emap = CubeMap.face(stage, frozenset({(problem.z, endpoint)}))
-    return family.restrict(stage, clause_path(base, problem, clause), emap, value)
+    return family.restrict(clause_path(family.base, problem, clause), emap, value)
 
 
 def check_boundary(fib: Fib, problem: Problem, result) -> list:
     """Violations of the boundary condition: the result must lie in the far
     fiber and extend the partial path there."""
     violations = []
-    base = fib.base
     far = 1 - problem.e
-    end = path_at(base, problem, far)
+    end = path_at(fib.base, problem, far)
     if not fib.family.contains(problem.I, end, result):
         violations.append(("fiber", result))
     for clause in problem.phi.clauses():
         g = CubeMap.face(problem.I, clause)
-        got = fib.family.restrict(problem.I, end, g, result)
-        want = partial_end(fib.family, base, problem, clause, far)
+        got = fib.family.restrict(end, g, result)
+        want = partial_end(fib.family, problem, clause, far)
         if got != want:
             violations.append(("boundary", clause, got, want))
     return violations
@@ -117,32 +114,31 @@ def check_boundary(fib: Fib, problem: Problem, result) -> list:
 
 def check_start_agreement(fib: Fib, problem: Problem) -> bool:
     """Precondition of a problem: a0 agrees with the partial path at e."""
-    base = fib.base
-    start = path_at(base, problem, problem.e)
+    start = path_at(fib.base, problem, problem.e)
     if not fib.family.contains(problem.I, start, problem.a0):
         return False
     for clause in problem.phi.clauses():
         g = CubeMap.face(problem.I, clause)
-        got = fib.family.restrict(problem.I, start, g, problem.a0)
-        want = partial_end(fib.family, base, problem, clause, problem.e)
+        got = fib.family.restrict(start, g, problem.a0)
+        want = partial_end(fib.family, problem, clause, problem.e)
         if got != want:
             return False
     return True
 
 
-def restrict_problem(family: Family, base: CubicalSet, problem: Problem,
+def restrict_problem(family: Family, problem: Problem,
                      clause: frozenset) -> Problem:
     """Reindex a problem along the face map of a clause over its stage."""
     stage = clause_stage(problem.I, clause)
     g = CubeMap.face(problem.I, clause)
-    new_path = clause_path(base, problem, clause)
+    new_path = clause_path(family.base, problem, clause)
     new_phi = face_subst_clause(problem.phi, clause)
     new_values = {
-        c: partial_at(family, base, problem, frozenset(clause | c))
+        c: partial_at(family, problem, frozenset(clause | c))
         for c in new_phi.clauses()
     }
-    start = path_at(base, problem, problem.e)
-    new_a0 = family.restrict(problem.I, start, g, problem.a0)
+    start = path_at(family.base, problem, problem.e)
+    new_a0 = family.restrict(start, g, problem.a0)
     return Problem(stage, problem.z, problem.e, new_path,
                    new_phi, new_values, new_a0)
 
@@ -246,7 +242,7 @@ def fill(fib: Fib, problem: Problem, out_dim: str):
         problem.zctx, wzctx,
         {**{n: dm_sym(wzctx, n) for n in I},
          z: conn(dm_sym(wzctx, z), dm_sym(wzctx, w))})
-    new_path = base.restrict(problem.zctx, squash, problem.path)
+    new_path = base.restrict(squash, problem.path)
     new_phi = face_or(face_weaken(problem.phi, wctx),
                       face_of_eq(dm_sym(wctx, w), e))
 
@@ -259,14 +255,13 @@ def fill(fib: Fib, problem: Problem, out_dim: str):
             rest = frozenset(c for c in clause if c[0] != w)
             small = clause_stage(I, rest)
             start = path_at(base, problem, e)
-            a0r = fib.family.restrict(problem.I, start, CubeMap.face(I, rest),
-                                      problem.a0)
-            start_r = base.restrict(problem.I, CubeMap.face(I, rest), start)
+            a0r = fib.family.restrict(start, CubeMap.face(I, rest), problem.a0)
+            start_r = base.restrict(CubeMap.face(I, rest), start)
             new_values[clause] = fib.family.restrict(
-                small, start_r, CubeMap.weaken(small, small | {z}), a0r)
+                start_r, CubeMap.weaken(small, small | {z}), a0r)
         else:
             # a phi wall: the original value with its direction squashed
-            value = partial_at(fib.family, base, problem, clause)
+            value = partial_at(fib.family, problem, clause)
             stage = clause_stage(I, clause) | {z}
             tstage = clause_stage(wctx, clause) | {z}
             sq = CubeMap.make(
@@ -274,10 +269,10 @@ def fill(fib: Fib, problem: Problem, out_dim: str):
                 {**{n: dm_sym(tstage, n) for n in clause_stage(I, clause)},
                  z: conn(dm_sym(tstage, z), dm_sym(tstage, w))})
             new_values[clause] = fib.family.restrict(
-                stage, clause_path(base, problem, clause), sq, value)
+                clause_path(base, problem, clause), sq, value)
 
-    a0w = fib.family.restrict(I, path_at(base, problem, e),
-                              CubeMap.weaken(I, wctx), problem.a0)
+    a0w = fib.family.restrict(path_at(base, problem, e), CubeMap.weaken(I, wctx),
+                              problem.a0)
     return fib.comp(Problem(wctx, z, e, new_path, new_phi, new_values, a0w))
 
 
@@ -289,8 +284,8 @@ def fill_path(fib: Fib, problem: Problem):
     wctx = I | {w}
     to_w = CubeMap.make(problem.zctx, wctx,
                         {**{n: dm_sym(wctx, n) for n in I}, z: dm_sym(wctx, w)})
-    path_w = fib.base.restrict(problem.zctx, to_w, problem.path)
+    path_w = fib.base.restrict(to_w, problem.path)
     rename = CubeMap.make(wctx, problem.zctx,
                           {**{n: dm_sym(problem.zctx, n) for n in I},
                            w: dm_sym(problem.zctx, z)})
-    return fib.family.restrict(wctx, path_w, rename, q)
+    return fib.family.restrict(path_w, rename, q)

@@ -36,7 +36,7 @@ class LabelFamily(Family):
     def fiber(self, context, rho):
         return list(self.labels(rho))
 
-    def restrict(self, context, rho, f, a):
+    def restrict(self, rho, f, a):
         return a
 
 
@@ -77,14 +77,8 @@ class TotalSliceFamily(Family):
     def fiber(self, context, rho):
         return self._slice(rho).fiber(context, rho)
 
-    def sample_fiber(self, context, rho):
-        return self._slice(rho).sample_fiber(context, rho)
-
-    def contains(self, context, rho, a):
-        return self._slice(rho).contains(context, rho, a)
-
-    def restrict(self, context, rho, f, a):
-        return self._slice(rho).restrict(context, rho, f, a)
+    def restrict(self, rho, f, a):
+        return self._slice(rho).restrict(rho, f, a)
 
 
 def sigma_fixture():
@@ -105,7 +99,7 @@ def sigma_fixture():
 
     def comp(problem):
         # the base is discrete, so the slice is constant along the path
-        rho = total.restrict(problem.zctx, problem.end_map(0), problem.path)
+        rho = total.restrict(problem.end_map(0), problem.path)
         if slices[rho] is w_family:
             return comp_interval(problem)
         return comp_discrete(problem)

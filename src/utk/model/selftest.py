@@ -48,10 +48,9 @@ def enumerate_problems(fib: Fib, max_dim: int = 2, z: str = "z",
     family = fib.family
     for I in enumerate_contexts(max_dim - 1):
         zctx = I | {z}
-        for path in base.sample_cells(zctx):
+        for path in base.cells(zctx):
             for e in (0, 1):
-                start = base.restrict(
-                    zctx, CubeMap.face(zctx, frozenset({(z, e)})), path)
+                start = base.restrict(CubeMap.face(zctx, frozenset({(z, e)})), path)
                 starts = family.sample_fiber(I, start)
                 for phi in phi_library(I):
                     clauses = phi.clauses()
@@ -59,7 +58,7 @@ def enumerate_problems(fib: Fib, max_dim: int = 2, z: str = "z",
                     for clause in clauses:
                         stage = clause_stage(I, clause) | {z}
                         gz = extend_clause_map(CubeMap.face(I, clause), z)
-                        gz_path = base.restrict(zctx, gz, path)
+                        gz_path = base.restrict(gz, path)
                         pools.append(family.sample_fiber(stage, gz_path))
                     count = 0
                     for a0 in starts:
@@ -92,7 +91,7 @@ def fibs_equal(f1: Fib, f2: Fib, max_dim: int = 2) -> list:
     out = []
     base = f1.base
     for I in enumerate_contexts(max_dim):
-        for rho in base.sample_cells(I):
+        for rho in base.cells(I):
             a = sorted(map(repr, f1.family.fiber(I, rho)))
             b = sorted(map(repr, f2.family.fiber(I, rho)))
             if a != b:
@@ -101,8 +100,8 @@ def fibs_equal(f1: Fib, f2: Fib, max_dim: int = 2) -> list:
             for dst in enumerate_contexts(max_dim):
                 for f in enumerate_maps(I, dst)[:12]:
                     for x in f1.family.sample_fiber(I, rho):
-                        r1 = f1.family.restrict(I, rho, f, x)
-                        r2 = f2.family.restrict(I, rho, f, x)
+                        r1 = f1.family.restrict(rho, f, x)
+                        r2 = f2.family.restrict(rho, f, x)
                         if r1 != r2:
                             out.append(("action", I, rho, f, x))
     out.extend(("comp",) + v for v in comps_agree(
@@ -155,11 +154,11 @@ def _witness(iso: StrictIso, path: FibPath, max_dim: int) -> list:
     for I in enumerate_contexts(max_dim - 1):
         wctx = I | {"w"}
         ends = [CubeMap.face(wctx, frozenset({("w", e)})) for e in (0, 1)]
-        for x in B.base.sample_cells(I):
-            x_w = B.base.restrict(I, CubeMap.weaken(I, wctx), x)
+        for x in B.base.cells(I):
+            x_w = B.base.restrict(CubeMap.weaken(I, wctx), x)
             for a in iso.source.sample_fiber(I, x):
                 q = coerce_iso_witness(iso, B, I, x, a)
-                at0, at1 = (B.family.restrict(wctx, x_w, f, q) for f in ends)
+                at0, at1 = (B.family.restrict(x_w, f, q) for f in ends)
                 if at0 != iso.fwd(I, x, a):
                     out.append(("at0", I, x, a, at0))
                 if at1 != coerce_along(path, I, x, a):
@@ -201,8 +200,7 @@ def check_fill(report: Report, fixtures, max_dim: int):
             out = []
             for problem in itertools.islice(enumerate_problems(fib, max_dim), 0, 200):
                 p = fill_path(fib, problem)
-                start, end = (fib.family.restrict(problem.zctx, problem.path,
-                                                  problem.end_map(e), p)
+                start, end = (fib.family.restrict(problem.path, problem.end_map(e), p)
                               for e in (problem.e, 1 - problem.e))
                 if start != problem.a0:
                     out.append(("fill-start", problem))
@@ -278,7 +276,7 @@ def check_strictify(report: Report, max_dim: int):
             family, iso2 = strictify(cof, A.family, B.family, iso)
             out = validate_cset(family, max_dim, max_points=12, max_pairs=250)
             for I in enumerate_contexts(max_dim):
-                for rho in iv.sample_cells(I):
+                for rho in iv.cells(I):
                     inside = cof.holds(I, rho)
                     got = sorted(family.fiber(I, rho))
                     want = sorted((A if inside else B).family.fiber(I, rho))
@@ -306,7 +304,7 @@ def check_strictify(report: Report, max_dim: int):
                     if result != A.comp(problem):
                         out.append(("A-restriction", problem))
             for I in enumerate_contexts(max_dim):
-                for rho in iv.sample_cells(I):
+                for rho in iv.cells(I):
                     if cof.holds(I, rho):
                         if sorted(fib2.family.fiber(I, rho)) != sorted(A.family.fiber(I, rho)):
                             out.append(("fiber", I, rho))
@@ -447,13 +445,12 @@ def check_extension(report: Report, max_dim: int):
                 for combo in itertools.product(*pools):
                     values = dict(combo)
                     try:
-                        result = ext.extend(I, "pt", phi, values)
+                        result = ext(I, "pt", phi, values)
                     except CompositionError as exc:
                         out.append(("unsupported", phi, exc))
                         continue
                     for clause, v in values.items():
-                        got = w.family.restrict(I, "pt", CubeMap.face(I, clause),
-                                                result)
+                        got = w.family.restrict("pt", CubeMap.face(I, clause), result)
                         if got != v:
                             out.append(("extension", phi, clause, got, v))
         return out
@@ -469,12 +466,12 @@ def check_cofibration_closure(report: Report, max_dim: int):
         out = []
         for cof in cofs:
             for I in enumerate_contexts(max_dim):
-                for x in iv.sample_cells(I):
+                for x in iv.cells(I):
                     if not cof.holds(I, x):
                         continue
                     for dst in enumerate_contexts(max_dim):
                         for f in enumerate_maps(I, dst)[:20]:
-                            if not cof.holds(dst, iv.restrict(I, f, x)):
+                            if not cof.holds(dst, iv.restrict(f, x)):
                                 out.append((cof.name, I, x, f))
         return out
 

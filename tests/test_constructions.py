@@ -95,6 +95,21 @@ def test_veebar_rejects_diagonal_paths():
         vee.comp(problem)
 
 
+@pytest.mark.parametrize("sides, count", [("discrete", 56), ("interval", 364)])
+def test_veebar_composes_over_its_restricted_base(sides, count):
+    # the problems come from the (i=0) \/ (i=1) subpresheaf of point*I itself:
+    # its cells and action, never a side's own base
+    point, A, B, _ = point_fibs()
+    if sides == "interval":
+        A = FX.interval_fib(point)
+    vee, _ = CO.veebar(A, B)
+    assert isinstance(vee.base, CS.RestrictedCSet)
+    problems = list(ST.enumerate_problems(vee, 2))
+    assert len(problems) == count
+    for problem in problems:
+        assert FB.check_boundary(vee, problem, vee.comp(problem)) == []
+
+
 def test_isopath_coerce_swaps_two_points():
     _, A, B, iso = point_fibs()
     path = CO.isopath(iso, A, B)
@@ -150,14 +165,14 @@ def test_extension_structure_extends():
     w = FX.interval_fib(point)
     ext = CO.extend_from_contractible(w, FX.interval_contraction(point))
     # phi = bot: the centre transported
-    out = ext.extend(E, "pt", face_bot(E), {})
+    out = ext(E, "pt", face_bot(E), {})
     assert dm_eq(out, dm_const(E, 0))
     # phi = (i=0): the result restricts to the given partial element
     from utk.model.interval import face_eq_sym
     I = ctx("i")
     value = dm_const(E, 1)
-    out = ext.extend(I, "pt", face_eq_sym(I, "i", 0), {frozenset({("i", 0)}): value})
-    got = w.family.restrict(I, "pt", CS.CubeMap.face(I, frozenset({("i", 0)})), out)
+    out = ext(I, "pt", face_eq_sym(I, "i", 0), {frozenset({("i", 0)}): value})
+    got = w.family.restrict("pt", CS.CubeMap.face(I, frozenset({("i", 0)})), out)
     assert dm_eq(got, value)
 
 
@@ -166,7 +181,7 @@ def test_coerce_iso_witness_endpoints():
     path = CO.isopath(iso, A, B)
     q = CO.coerce_iso_witness(iso, B, E, "pt", "x")
     W = ctx("w")
-    at0 = B.family.restrict(W, "pt", CS.CubeMap.face(W, frozenset({("w", 0)})), q)
-    at1 = B.family.restrict(W, "pt", CS.CubeMap.face(W, frozenset({("w", 1)})), q)
+    at0 = B.family.restrict("pt", CS.CubeMap.face(W, frozenset({("w", 0)})), q)
+    at1 = B.family.restrict("pt", CS.CubeMap.face(W, frozenset({("w", 1)})), q)
     assert at0 == "s"  # f applied
     assert at1 == CO.coerce_along(path, E, "pt", "x")

@@ -3,7 +3,7 @@ import itertools
 from utk.model import cset as CS
 from utk.model import selftest as ST
 from utk.report import Report
-from utk.model.interval import ctx, dm_const, dm_meet, dm_neg, dm_sym, dm_eq
+from utk.model.interval import ctx, dm_all, dm_const, dm_meet, dm_neg, dm_sym, dm_eq
 
 I = ctx("i")
 IJ = ctx("i", "j")
@@ -33,13 +33,13 @@ def test_interval_restriction_is_substitution():
     iv = CS.IntervalCSet()
     i = dm_sym(I, "i")
     to_zero = CS.CubeMap.make(I, E, {"i": dm_const(E, 0)})
-    assert dm_eq(iv.restrict(I, to_zero, i), dm_const(E, 0))
+    assert dm_eq(iv.restrict(to_zero, i), dm_const(E, 0))
 
 
 def test_constant_cset_restriction():
     d = CS.DiscreteCSet(["p", "q"])
     f = CS.CubeMap.face(I, frozenset({("i", 0)}))
-    assert d.restrict(I, f, "p") == "p"
+    assert d.restrict(f, "p") == "p"
 
 
 def test_validate_constant_and_interval():
@@ -93,8 +93,8 @@ def test_functoriality_degeneracy_then_face():
     square = dm_meet(dm_sym(IJ, "i"), dm_neg(dm_sym(IJ, "j")))
     degen = CS.CubeMap.make(IJ, I, {"i": dm_sym(I, "i"), "j": dm_sym(I, "i")})
     face = CS.CubeMap.make(I, E, {"i": dm_const(E, 1)})
-    via = iv.restrict(I, face, iv.restrict(IJ, degen, square))
-    direct = iv.restrict(IJ, degen.then(face), square)
+    via = iv.restrict(face, iv.restrict(degen, square))
+    direct = iv.restrict(degen.then(face), square)
     assert dm_eq(via, direct)
 
 
@@ -105,11 +105,11 @@ def test_cofibration_closed_under_restriction():
     zero = dm_const(E, 0)
     assert cof.holds(E, zero)
     for context in CS.enumerate_contexts(2):
-        for x in iv.cells(context):
+        for x in dm_all(context):
             if cof.holds(context, x):
                 for dst in CS.enumerate_contexts(2):
                     for f in CS.enumerate_maps(context, dst)[:40]:
-                        assert cof.holds(dst, iv.restrict(context, f, x))
+                        assert cof.holds(dst, iv.restrict(f, x))
 
 
 def test_memoised_holds_agrees_with_the_face():
@@ -121,7 +121,7 @@ def test_memoised_holds_agrees_with_the_face():
         seen = set()
         for _ in range(2):  # the first call decides, the repeat reads the memo
             for context in CS.enumerate_contexts(2):
-                for x in base.sample_cells(context):
+                for x in base.cells(context):
                     assert cof.holds(context, x) is cof.face(context, x).is_top
                     seen.add(cof.holds(context, x))
         if cof.name not in ("bot", "top"):

@@ -55,9 +55,9 @@ def test_interval_two_sided_interpolation():
     result = w.comp(problem)
     assert FB.check_boundary(w, problem, result) == []
     # oracle by direct substitution: the walls at z := 1
-    assert dm_eq(w.family.restrict(I, "pt", CS.CubeMap.face(I, frozenset({("i", 0)})), result),
+    assert dm_eq(w.family.restrict("pt", CS.CubeMap.face(I, frozenset({("i", 0)})), result),
                  dm_const(E, 1))
-    assert dm_eq(w.family.restrict(I, "pt", CS.CubeMap.face(I, frozenset({("i", 1)})), result),
+    assert dm_eq(w.family.restrict("pt", CS.CubeMap.face(I, frozenset({("i", 1)})), result),
                  dm_const(E, 0))
 
 
@@ -67,8 +67,8 @@ def test_fill_endpoints_constant_family():
     problem = mkproblem(fib, E, "pt", a0="y")
     q = FB.fill(fib, problem, "w")
     W = ctx("w")
-    at0 = fib.family.restrict(W, "pt", CS.CubeMap.face(W, frozenset({("w", 0)})), q)
-    at1 = fib.family.restrict(W, "pt", CS.CubeMap.face(W, frozenset({("w", 1)})), q)
+    at0 = fib.family.restrict("pt", CS.CubeMap.face(W, frozenset({("w", 0)})), q)
+    at1 = fib.family.restrict("pt", CS.CubeMap.face(W, frozenset({("w", 1)})), q)
     assert at0 == "y"  # the starting end
     assert at1 == fib.comp(problem)  # the defining property
 
@@ -86,10 +86,10 @@ def test_fill_agrees_with_partial_by_substitution():
     q = FB.fill(w, problem, "w")
     IW = I | {"w"}
     # on the wall i=0 the fill is the squashed wall value z /\ w
-    wall = w.family.restrict(IW, "pt", CS.CubeMap.face(IW, frozenset({("i", 0)})), q)
+    wall = w.family.restrict("pt", CS.CubeMap.face(IW, frozenset({("i", 0)})), q)
     assert dm_eq(wall, dm_sym(ctx("w"), "w"))
     # at w=1 the fill solves the problem
-    top = w.family.restrict(IW, "pt", CS.CubeMap.face(IW, frozenset({("w", 1)})), q)
+    top = w.family.restrict("pt", CS.CubeMap.face(IW, frozenset({("w", 1)})), q)
     assert dm_eq(top, w.comp(problem))
 
 

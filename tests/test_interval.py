@@ -156,6 +156,24 @@ def test_face_clauses_and_entailment():
     assert not f.entails(face_eq_sym(IJ, "i", 0))
 
 
+@pytest.mark.parametrize("n", range(3))
+def test_clause_entails_a_face_iff_substituting_it_gives_top(n):
+    # over every face of up to two symbols, bitmasks included that no formula
+    # builds, and every clause of the context
+    context = ctx(*"ij"[:n])
+    names = sorted(context)
+    clauses = [frozenset((m, e) for m, e in zip(names, ends) if e is not None)
+               for ends in itertools.product((None, 0, 1), repeat=n)]
+    c = IV._context(context)
+    for sat in range(c.face_full + 1):
+        a = c.face(sat)
+        for clause in clauses:
+            as_face = face_top(context)
+            for m, e in clause:
+                as_face = face_and(as_face, face_eq_sym(context, m, e))
+            assert as_face.entails(a) == face_subst_clause(a, clause).is_top, (a, clause)
+
+
 def test_face_meet_of_opposites_is_bot():
     f = face_and(face_eq_sym(I, "i", 0), face_eq_sym(I, "i", 1))
     assert f.is_bot

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -30,6 +31,18 @@ def test_selftest_enumerates_every_problem(model_report):
     # speed work must not prune cases: the dim-2 battery draws exactly this
     # many composition problems
     assert model_report.problems == 8182
+
+
+# SHA-256 of the dim-2 report's summary: one "ok" or "FAIL" line per check,
+# in order, then the verdict.  Refactors of the model keep the same 55 rows
+# with the same verdicts.
+SUMMARY_SHA256 = "e4e5131cc9174ec909168ecbcf1c965e1663d8e0f35528fff97a6e8aa0183ab2"
+
+
+def test_selftest_summary_is_pinned(model_report):
+    summary = model_report.summary()
+    assert len(summary.splitlines()) == 56
+    assert hashlib.sha256(summary.encode()).hexdigest() == SUMMARY_SHA256
 
 
 def test_selftest_rejects_bad_dimension():
