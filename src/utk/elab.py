@@ -94,10 +94,10 @@ def elaborate_and_check(decls, opaque=frozenset()):
     return core, scope, report, None
 
 
-def elaborate(decls, opaque=frozenset()):
+def elaborate(decls):
     """Parsed declarations to checked ones; every output validates.
     Raises the DeclarationError of the first declaration that fails."""
-    core, _, _, failure = elaborate_and_check(decls, opaque)
+    core, _, _, failure = elaborate_and_check(decls)
     if failure is not None:
         raise failure
     return core

@@ -224,7 +224,6 @@ class GlobalScope:
 
     def __init__(self):
         self.entries: dict = {}
-        self.order: list = []
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries
@@ -236,7 +235,6 @@ class GlobalScope:
         if name in self.entries:
             raise KernelError(f"duplicate declaration: {name}")
         self.entries[name] = entry
-        self.order.append(name)
 
 
 # ---------------------------------------------------------------------------

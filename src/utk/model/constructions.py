@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .interval import (
     ModelError, dm_is_const, dm_sym, face_bot, face_forall, face_of_eq, face_or,
@@ -29,18 +28,17 @@ from .fib import (
 
 @dataclass
 class StrictIso:
-    """Fiberwise mutually inverse maps between two families over one base."""
+    """Fiberwise mutually inverse maps from the family `source` to another
+    family over the same base: fwd carries an element of `source` there,
+    bwd carries it back."""
 
     source: Family
-    target: Family
     fwd: object  # (I, rho, a) -> b
     bwd: object  # (I, rho, b) -> a
-    name: str = "iso"
 
 
-def identity_iso(family: Family, name: str = "id") -> StrictIso:
-    return StrictIso(family, family,
-                     lambda I, rho, a: a, lambda I, rho, b: b, name)
+def identity_iso(family: Family) -> StrictIso:
+    return StrictIso(family, lambda I, rho, a: a, lambda I, rho, b: b)
 
 
 @dataclass
@@ -70,7 +68,7 @@ class ContrStruct:
     path: object  # (I, rho, a, z) -> element over I+{z}, centre at 0, a at 1
 
 
-def reindex_fib(fib: Fib, gamma: CSetMap, name: str = None) -> Fib:
+def reindex_fib(fib: Fib, gamma: CSetMap) -> Fib:
     """Pull a fibration back along a map of bases; composition pushes the
     problem's path forward."""
     family = ReindexedFamily(fib.family, gamma)
@@ -78,21 +76,19 @@ def reindex_fib(fib: Fib, gamma: CSetMap, name: str = None) -> Fib:
     def comp(problem: Problem):
         return fib.comp(replace(problem, path=gamma.apply(problem.zctx, problem.path)))
 
-    return Fib(family, comp, name=name or f"{fib.name}[{gamma.name}]")
+    return Fib(family, comp)
 
 
 def endpoint_reindex(path_fib: Fib, base: CubicalSet, endpoint: int) -> Fib:
     """Reindex a fibration over base*I along <id, endpoint>."""
-    product = path_fib.base
-    return reindex_fib(path_fib, pairing_map(base, product, endpoint),
-                       name=f"{path_fib.name}@{endpoint}")
+    return reindex_fib(path_fib, pairing_map(base, path_fib.base, endpoint))
 
 
 # ---------------------------------------------------------------------------
 # Realignment
 
 
-def realign(cof: Cofibration, beta: Fib, alpha: Fib, name: str = None) -> Fib:
+def realign(cof: Cofibration, beta: Fib, alpha: Fib) -> Fib:
     """A composition structure on alpha's family that restricts on the nose
     to beta over the cofibration.
 
@@ -115,14 +111,14 @@ def realign(cof: Cofibration, beta: Fib, alpha: Fib, name: str = None) -> Fib:
                 values[clause] = partial_at(family, problem, clause)
         return alpha.comp(replace(problem, phi=phi2, values=values))
 
-    return Fib(family, comp, name=name or f"realign({alpha.name})")
+    return Fib(family, comp)
 
 
 # ---------------------------------------------------------------------------
 # Closure under isomorphism
 
 
-def isofib(iso: StrictIso, beta: Fib, name: str = None) -> Fib:
+def isofib(iso: StrictIso, beta: Fib) -> Fib:
     """Transfer a composition structure across a fiberwise isomorphism (only
     the retraction law bwd . fwd = id is used)."""
     family = iso.source
@@ -137,7 +133,7 @@ def isofib(iso: StrictIso, beta: Fib, name: str = None) -> Fib:
         b1 = beta.comp(replace(problem, values=values, a0=b0))
         return iso.bwd(problem.I, path_at(base, problem, 1 - problem.e), b1)
 
-    return Fib(family, comp, name=name or f"isofib({beta.name})")
+    return Fib(family, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +150,6 @@ class StrictifiedFamily(Family):
         self.partial = partial
         self.total = total
         self.iso = iso
-        self.name = f"strictify({partial.name},{total.name})"
 
     def fiber(self, context, rho):
         if self.cof.holds(context, rho):
@@ -193,18 +188,17 @@ def strictify(cof: Cofibration, partial: Family, total: Family,
             return iso.bwd(I, rho, y)
         return y
 
-    return out, StrictIso(out, total, fwd, bwd, name=f"{iso.name}'")
+    return out, StrictIso(out, fwd, bwd)
 
 
-def strictify_fib(cof: Cofibration, partial: Fib, total: Fib, iso: StrictIso,
-                  name: str = None):
+def strictify_fib(cof: Cofibration, partial: Fib, total: Fib, iso: StrictIso):
     """Fibration-level strictification: the new fibration restricts to
     `partial` on the nose (family and composition), via realignment."""
     family, iso2 = strictify(cof, partial.family, total.family, iso)
     pre = isofib(iso2, total)
-    restricted = Fib(family, partial.comp, name=f"{partial.name}|")
+    restricted = Fib(family, partial.comp)
     comp = realign(cof, restricted, pre).comp
-    return Fib(family, comp, name=name or f"strictify({partial.name})"), iso2
+    return Fib(family, comp), iso2
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +222,6 @@ class VeebarFamily(Family):
     def __init__(self, A: Family, B: Family, restricted: RestrictedCSet):
         super().__init__(restricted)
         self.sides = (A, B)
-        self.name = f"({A.name} v {B.name})"
 
     def fiber(self, context, rho):
         return self.sides[_side(rho)].fiber(context, rho[0])
@@ -240,12 +233,10 @@ class VeebarFamily(Family):
         return self.sides[_side(rho)].restrict(rho[0], f, a)
 
 
-def veebar(A: Fib, B: Fib, iso0: Optional[StrictIso] = None,
-           iso1: Optional[StrictIso] = None, line: Optional[Fib] = None):
+def veebar(A: Fib, B: Fib) -> Fib:
     """The fibration over (base*I)|((i=0) \\/ (i=1)) that is A at 0 and B
     at 1; a problem's path is forced to one side because the interval is
-    connected.  When endpoint isomorphisms into a line over base*I are
-    supplied, they join to an isomorphism on the restriction."""
+    connected."""
     restricted = RestrictedCSet(ProductIntervalCSet(A.base), cof_endpoints())
     family = VeebarFamily(A.family, B.family, restricted)
 
@@ -253,15 +244,7 @@ def veebar(A: Fib, B: Fib, iso0: Optional[StrictIso] = None,
         side = (A, B)[_side(problem.path)]
         return side.comp(replace(problem, path=problem.path[0]))
 
-    vee = Fib(family, comp, name=f"({A.name} v {B.name})")
-    if iso0 is None:
-        return vee, None
-    isos = (iso0, iso1)
-    target = line.family if line is not None else None
-    return vee, StrictIso(
-        family, target,
-        lambda I, rho, a: isos[_side(rho)].fwd(I, rho[0], a),
-        lambda I, rho, b: isos[_side(rho)].bwd(I, rho[0], b), name="iso0 v iso1")
+    return Fib(family, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -270,42 +253,44 @@ def veebar(A: Fib, B: Fib, iso0: Optional[StrictIso] = None,
 
 def improve(m: MisalignedPath) -> FibPath:
     """Strictify a misaligned path so its endpoints are the recorded
-    fibrations on the nose."""
-    vee, isoV = veebar(m.source, m.target, m.iso0, m.iso1, line=m.line)
-    cof = cof_endpoints()
-    line2, _ = strictify_fib(cof, vee, m.line, isoV, name=f"improve({m.line.name})")
+    fibrations on the nose: the line is strictified along veebar of the
+    recorded ends, with m.iso0 and m.iso1 joined over `_side` into an
+    isomorphism from veebar to the line over the endpoints."""
+    vee = veebar(m.source, m.target)
+    isos = (m.iso0, m.iso1)
+    joined = StrictIso(vee.family,
+                       lambda I, rho, a: isos[_side(rho)].fwd(I, rho[0], a),
+                       lambda I, rho, b: isos[_side(rho)].bwd(I, rho[0], b))
+    line2, _ = strictify_fib(cof_endpoints(), vee, m.line, joined)
     return FibPath(line2, m.source, m.target)
 
 
 def isopath(iso: StrictIso, A: Fib, B: Fib) -> FibPath:
     """A path between strictly isomorphic fibrations: improve the constant
     line at B along (iso, id)."""
-    product = ProductIntervalCSet(A.base)
-    line = reindex_fib(B, fst_map(product), name=f"{B.name}[fst]")
-    iso0 = StrictIso(A.family, line.family, iso.fwd, iso.bwd, name=iso.name)
-    iso1 = identity_iso(B.family)
-    return improve(MisalignedPath(line, iso0, iso1, A, B))
+    line = reindex_fib(B, fst_map(ProductIntervalCSet(A.base)))
+    return improve(MisalignedPath(line, iso, identity_iso(B.family), A, B))
 
 
-def coerce_along(P: FibPath, I: frozenset, x, a, z: str = "z"):
+def coerce_along(P: FibPath, I: frozenset, x, a):
     """Transport along a path of fibrations: the empty composition from 0
     to 1 over the path (x, z)."""
     product = P.line.base  # base*I
-    zctx = I | {z}
+    zctx = I | {"z"}
     x_w = product.base.restrict(CubeMap.weaken(I, zctx), x)
-    path = (x_w, dm_sym(zctx, z))
-    problem = Problem(I, z, 0, path, face_bot(I), {}, a)
+    path = (x_w, dm_sym(zctx, "z"))
+    problem = Problem(I, "z", 0, path, face_bot(I), {}, a)
     return P.line.comp(problem)
 
 
-def coerce_iso_witness(iso: StrictIso, B: Fib, I: frozenset, x, a, w: str = "w"):
-    """A path value whose 0 end is iso.fwd applied to a and whose 1 end is
-    the coercion along isopath(iso): the degenerate fill of the empty
-    problem at iso.fwd(a)."""
+def coerce_iso_witness(iso: StrictIso, B: Fib, I: frozenset, x, a):
+    """A path value over I + {w} whose w = 0 end is iso.fwd applied to a
+    and whose w = 1 end is the coercion along isopath(iso): the degenerate
+    fill of the empty problem at iso.fwd(a)."""
     zctx = I | {"z"}
     x_w = B.base.restrict(CubeMap.weaken(I, zctx), x)
     problem = Problem(I, "z", 0, x_w, face_bot(I), {}, iso.fwd(I, x, a))
-    return fill(B, problem, w)
+    return fill(B, problem, "w")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +304,6 @@ class ContractionFamily(Family):
     def __init__(self, A: Family, product: ProductIntervalCSet):
         super().__init__(product)
         self.A = A
-        self.name = f"C({A.name})"
         self._fibers = {}  # (context, rho) -> the fiber, as a tuple
 
     def fiber(self, context, rho):
@@ -434,7 +418,7 @@ def contraction_fib(A: Fib, extend) -> Fib:
             out.append((clause, extend(stage, x_c, phi_c, values)))
         return frozenset(out)
 
-    return Fib(family, comp, name=f"C({A.name})")
+    return Fib(family, comp)
 
 
 def extend_from_contractible(A: Fib, contr: ContrStruct):
@@ -460,9 +444,8 @@ def extend_from_contractible(A: Fib, contr: ContrStruct):
 def contract_path(A: Fib, contr: ContrStruct) -> FibPath:
     """The path from a contractible fibration to the unit: improve the
     contraction C_A along the evident endpoint isomorphisms."""
-    base = A.base
     cfib = contraction_fib(A, extend_from_contractible(A, contr))
-    unit = comp_unit(base)
+    unit = comp_unit(A.base)
     family = cfib.family
 
     def iso0_fwd(I, x, a):
@@ -471,10 +454,6 @@ def contract_path(A: Fib, contr: ContrStruct) -> FibPath:
     def iso0_bwd(I, x, d):
         return family.element_at(I, x, d, frozenset())
 
-    line0 = endpoint_reindex(cfib, base, 0)
-    line1 = endpoint_reindex(cfib, base, 1)
-    iso0 = StrictIso(A.family, line0.family, iso0_fwd, iso0_bwd, name="iso_A")
-    iso1 = StrictIso(unit.family, line1.family,
-                     lambda I, x, a: frozenset(),
-                     lambda I, x, d: "*", name="iso_1")
+    iso0 = StrictIso(A.family, iso0_fwd, iso0_bwd)
+    iso1 = StrictIso(unit.family, lambda I, x, a: frozenset(), lambda I, x, d: "*")
     return improve(MisalignedPath(cfib, iso0, iso1, A, unit))

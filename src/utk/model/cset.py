@@ -140,8 +140,6 @@ def sample_dm(context: frozenset) -> tuple:
 
 
 class CubicalSet:
-    name = "cset"
-
     def cells(self, context: frozenset) -> list:
         """The cells that problem enumeration and the law checks visit over
         context: all of them for a finite constant presheaf, a representative
@@ -154,8 +152,6 @@ class CubicalSet:
 
 
 class PointCSet(CubicalSet):
-    name = "pt"
-
     def cells(self, context):
         return ["pt"]
 
@@ -168,9 +164,8 @@ class PointCSet(CubicalSet):
 class DiscreteCSet(CubicalSet):
     """Constant presheaf on a finite set of labels."""
 
-    def __init__(self, labels, name="discrete"):
+    def __init__(self, labels):
         self.labels = list(labels)
-        self.name = name
 
     def cells(self, context):
         return list(self.labels)
@@ -185,8 +180,6 @@ class IntervalCSet(CubicalSet):
     """The representable interval: the cells over I are dm(I), of which
     `cells` lists `sample_dm(I)`; the action is substitution."""
 
-    name = "interval"
-
     def cells(self, context):
         return list(sample_dm(context))
 
@@ -199,7 +192,6 @@ class ProductIntervalCSet(CubicalSet):
 
     def __init__(self, base: CubicalSet):
         self.base = base
-        self.name = f"{base.name}*I"
 
     def cells(self, context):
         return [(x, r) for x in self.base.cells(context) for r in sample_dm(context)]
@@ -215,7 +207,6 @@ class RestrictedCSet(CubicalSet):
     def __init__(self, base: CubicalSet, cof):
         self.base = base
         self.cof = cof
-        self.name = f"{base.name}|phi"
 
     def cells(self, context):
         return [x for x in self.base.cells(context) if self.cof.holds(context, x)]
@@ -231,7 +222,6 @@ class TotalCSet(CubicalSet):
     def __init__(self, base: CubicalSet, family):
         self.base = base
         self.family = family
-        self.name = f"{base.name}.{family.name}"
 
     def restrict(self, f, x):
         b, a = x
@@ -243,10 +233,9 @@ class TabularCSet(CubicalSet):
     Missing action entries fall back to the identity on cells (the discrete
     action)."""
 
-    def __init__(self, cells_by_dim: dict, action: dict = None, name="table"):
+    def __init__(self, cells_by_dim: dict, action: dict = None):
         self._cells = {frozenset(k): list(v) for k, v in cells_by_dim.items()}
         self.action = action or {}
-        self.name = name
 
     def cells(self, context):
         if context not in self._cells:
@@ -310,8 +299,6 @@ def cof_interval_eq(endpoint: int):
 
 
 class Family:
-    name = "family"
-
     def __init__(self, base: CubicalSet):
         self.base = base
 
@@ -333,10 +320,9 @@ class Family:
 
 
 class ConstantFamily(Family):
-    def __init__(self, base, labels, name="const"):
+    def __init__(self, base, labels):
         super().__init__(base)
         self.labels = list(labels)
-        self.name = name
 
     def fiber(self, context, rho):
         return list(self.labels)
@@ -348,8 +334,6 @@ class ConstantFamily(Family):
 
 
 class UnitFamily(Family):
-    name = "unit"
-
     def fiber(self, context, rho):
         return ["*"]
 
@@ -361,8 +345,6 @@ class IntervalFamily(Family):
     """Fiberwise copy of the interval: A(I, rho) = dm(I).  Beyond two
     dimensions the fiber listing samples the basic elements, and problem
     enumeration samples them beyond one; membership stays exact."""
-
-    name = "interval-fiber"
 
     def fiber(self, context, rho):
         if len(context) > 2:
@@ -382,11 +364,10 @@ class IntervalFamily(Family):
 class SigmaFamily(Family):
     """Dependent sum: fibers are pairs (a, b) with b over the extended base."""
 
-    def __init__(self, first, second, name=None):
+    def __init__(self, first, second):
         super().__init__(first.base)
         self.first = first
         self.second = second  # Family over TotalCSet(base, first)
-        self.name = name or f"Sig({first.name},{second.name})"
 
     def fiber(self, context, rho):
         out = []
@@ -403,11 +384,10 @@ class SigmaFamily(Family):
 class ReindexedFamily(Family):
     """Family pulled back along a map of cubical sets."""
 
-    def __init__(self, family: Family, gamma, name=None):
+    def __init__(self, family: Family, gamma):
         super().__init__(gamma.src)
         self.family = family
         self.gamma = gamma
-        self.name = name or f"{family.name}[{gamma.name}]"
 
     def fiber(self, context, rho):
         return self.family.fiber(context, self.gamma.apply(context, rho))
@@ -432,16 +412,14 @@ class CSetMap:
         return self.fn(context, x)
 
 
-def pairing_map(base: CubicalSet, product: ProductIntervalCSet, endpoint: int,
-                name=None) -> CSetMap:
+def pairing_map(base: CubicalSet, product: ProductIntervalCSet,
+                endpoint: int) -> CSetMap:
     """<id, e> : base -> base * I at a constant endpoint."""
-    return CSetMap(base, product,
-                   lambda c, x: (x, dm_const(c, endpoint)),
-                   name or f"<id,{endpoint}>")
+    return CSetMap(base, product, lambda c, x: (x, dm_const(c, endpoint)))
 
 
 def fst_map(product: ProductIntervalCSet) -> CSetMap:
-    return CSetMap(product, product.base, lambda c, x: x[0], "fst")
+    return CSetMap(product, product.base, lambda c, x: x[0])
 
 
 # ---------------------------------------------------------------------------

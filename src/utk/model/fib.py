@@ -54,7 +54,6 @@ class Fib:
 
     family: Family
     comp: object  # callable Problem -> element
-    name: str = ""
 
     @property
     def base(self) -> CubicalSet:
@@ -154,7 +153,7 @@ def comp_discrete(problem: Problem):
 
 def comp_unit(base: CubicalSet) -> Fib:
     """The constant unit family with its unique composition structure."""
-    return Fib(UnitFamily(base), lambda problem: "*", name="1")
+    return Fib(UnitFamily(base), lambda problem: "*")
 
 
 def comp_interval(problem: Problem):
@@ -214,7 +213,7 @@ def comp_sigma(first: Fib, second: Fib) -> Fib:
                       values={c: v[1] for c, v in problem.values.items()})
         return (first.comp(fst), second.comp(snd))
 
-    return Fib(family, comp, name=f"Sig({first.name},{second.name})")
+    return Fib(family, comp)
 
 
 def _fresh_dim(used: frozenset) -> str:

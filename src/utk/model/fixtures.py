@@ -4,12 +4,15 @@ fixture format for user-supplied tables.
 Built-in fixtures: constant discrete sets of sizes 1..3 over a point and
 over the interval, the truncated representable interval, a dependent sum
 over a two-point base with an interval-valued slice, a contractible
-interval-like fibration, and base maps for reindexing checks.
+interval-like fibration, and base maps for reindexing checks.  A fixture
+is a name, a fibration and, for the contractible ones, a contraction; its
+base is the fibration's base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 from .interval import dm_const, dm_meet, dm_neg, dm_sym
 from .cset import (
@@ -20,18 +23,17 @@ from .fib import Fib, comp_discrete, comp_interval, comp_sigma
 from .constructions import ContrStruct
 
 
-def discrete_fib(base: CubicalSet, labels, name: str) -> Fib:
-    return Fib(ConstantFamily(base, labels, name=name), comp_discrete, name=name)
+def discrete_fib(base: CubicalSet, labels) -> Fib:
+    return Fib(ConstantFamily(base, labels), comp_discrete)
 
 
 class LabelFamily(Family):
     """A discrete family whose labels depend on the base cell: the fiber over
     rho is labels(rho), and every restriction keeps the label."""
 
-    def __init__(self, base: CubicalSet, labels, name: str):
+    def __init__(self, base: CubicalSet, labels):
         super().__init__(base)
         self.labels = labels
-        self.name = name
 
     def fiber(self, context, rho):
         return list(self.labels(rho))
@@ -40,12 +42,12 @@ class LabelFamily(Family):
         return a
 
 
-def label_fib(base: CubicalSet, labels, name: str) -> Fib:
-    return Fib(LabelFamily(base, labels, name), comp_discrete, name=name)
+def label_fib(base: CubicalSet, labels) -> Fib:
+    return Fib(LabelFamily(base, labels), comp_discrete)
 
 
 def interval_fib(base: CubicalSet) -> Fib:
-    return Fib(IntervalFamily(base), comp_interval, name="W")
+    return Fib(IntervalFamily(base), comp_interval)
 
 
 def interval_contraction(base: CubicalSet) -> ContrStruct:
@@ -66,10 +68,9 @@ class TotalSliceFamily(Family):
     """Over the total set of a discrete family: an independent family per
     total point."""
 
-    def __init__(self, total: TotalCSet, slices: dict, name="slices"):
+    def __init__(self, total: TotalCSet, slices: dict):
         super().__init__(total)
         self.slices = slices  # total point -> Family
-        self.name = name
 
     def _slice(self, rho):
         return self.slices[rho]
@@ -84,18 +85,18 @@ class TotalSliceFamily(Family):
 def sigma_fixture():
     """A dependent sum over a two-point base: the fiber over one point is the
     interval, over the other a singleton."""
-    base = DiscreteCSet(["p", "q"], name="2pt")
-    A = discrete_fib(base, ["a1", "a2"], name="A2")
+    base = DiscreteCSet(["p", "q"])
+    A = discrete_fib(base, ["a1", "a2"])
     total = TotalCSet(base, A.family)
     w_family = IntervalFamily(total)
-    unit_family = ConstantFamily(total, ["u"], name="u1")
+    unit_family = ConstantFamily(total, ["u"])
     slices = {
         ("p", "a1"): w_family,
         ("p", "a2"): unit_family,
         ("q", "a1"): unit_family,
         ("q", "a2"): unit_family,
     }
-    family = TotalSliceFamily(total, slices, name="B-slices")
+    family = TotalSliceFamily(total, slices)
 
     def comp(problem):
         # the base is discrete, so the slice is constant along the path
@@ -104,14 +105,13 @@ def sigma_fixture():
             return comp_interval(problem)
         return comp_discrete(problem)
 
-    B = Fib(family, comp, name="B")
+    B = Fib(family, comp)
     return base, A, B, comp_sigma(A, B)
 
 
 @dataclass
 class Fixture:
     name: str
-    base: CubicalSet
     fib: Fib
     contractible: object = None  # ContrStruct when applicable
 
@@ -128,14 +128,14 @@ def builtin_fixtures():
     point = PointCSet()
     iv = IntervalCSet()
     fixtures = [
-        Fixture("pt/one", point, discrete_fib(point, ["x"], "D1"),
+        Fixture("pt/one", discrete_fib(point, ["x"]),
                 contractible=ContrStruct(
                     lambda I, rho: "x",
                     lambda I, rho, a, z: "x")),
-        Fixture("pt/two", point, discrete_fib(point, ["x", "y"], "D2")),
-        Fixture("pt/three", point, discrete_fib(point, ["x", "y", "w"], "D3")),
-        Fixture("interval/two", iv, discrete_fib(iv, ["x", "y"], "D2/I")),
-        Fixture("pt/interval-fiber", point, interval_fib(point),
+        Fixture("pt/two", discrete_fib(point, ["x", "y"])),
+        Fixture("pt/three", discrete_fib(point, ["x", "y", "w"])),
+        Fixture("interval/two", discrete_fib(iv, ["x", "y"])),
+        Fixture("pt/interval-fiber", interval_fib(point),
                 contractible=interval_contraction(point)),
     ]
     return fixtures
@@ -150,7 +150,8 @@ def builtin_fixtures():
 #     fiber a: u v
 #     fiber b: w
 #
-# Declares constant (discrete) cubical sets and families over them; blocks
+# Declares constant (discrete) cubical sets and families over them; a family
+# gives one fiber line for each cell of its cset and for no other.  Blocks
 # are separated by blank lines, comments start with '#'.
 
 
@@ -159,7 +160,7 @@ class FixtureFormatError(Exception):
 
 
 def load_fixture_file(path) -> list:
-    text = open(path).read()
+    text = Path(path).read_text()
     csets = {}
     fixtures = []
     mode = None
@@ -177,8 +178,12 @@ def load_fixture_file(path) -> list:
             if missing:
                 raise FixtureFormatError(
                     f"family {name} is missing fibers for {missing}")
-            fixtures.append(Fixture(f"loaded/{name}", base,
-                                    label_fib(base, dict(fibers).__getitem__, name)))
+            stray = [c for c in fibers if c not in base.labels]
+            if stray:
+                raise FixtureFormatError(
+                    f"family {name} has fibers for cells {stray} not in {over}")
+            fixtures.append(Fixture(f"loaded/{name}",
+                                    label_fib(base, dict(fibers).__getitem__)))
         mode = None
         fibers = {}
 
@@ -190,6 +195,8 @@ def load_fixture_file(path) -> list:
         parts = line.split()
         if parts[0] == "cset":
             finish()
+            if len(parts) != 2:
+                raise FixtureFormatError(f"bad cset header: {line!r}")
             name = parts[1]
             mode = "cset"
         elif parts[0] == "family":
@@ -199,8 +206,8 @@ def load_fixture_file(path) -> list:
             name, over = parts[1], parts[3]
             mode = "family"
         elif parts[0] == "cells:" and mode == "cset":
-            csets[name] = DiscreteCSet(parts[1:], name=name)
-        elif parts[0] == "fiber" and mode == "family":
+            csets[name] = DiscreteCSet(parts[1:])
+        elif parts[0] == "fiber" and mode == "family" and len(parts) > 1:
             cell = parts[1].rstrip(":")
             fibers[cell] = parts[2:]
         else:

@@ -39,13 +39,14 @@ def phi_library(I: frozenset):
     return phis
 
 
-def enumerate_problems(fib: Fib, max_dim: int = 2, z: str = "z",
-                       per_shape: int = 64):
-    """Composition problems over the fixture: all stages below the dimension
-    bound, every sampled path, every library formula, and every compatible
-    assignment of partial values and starting points (capped per shape)."""
+def enumerate_problems(fib: Fib, max_dim: int = 2):
+    """Composition problems over the fixture, in the direction z: all stages
+    below the dimension bound, every sampled path, every library formula,
+    and every compatible assignment of partial values and starting points
+    (at most 64 per stage, path, end and formula)."""
     base = fib.base
     family = fib.family
+    z = "z"
     for I in enumerate_contexts(max_dim - 1):
         zctx = I | {z}
         for path in base.cells(zctx):
@@ -68,10 +69,10 @@ def enumerate_problems(fib: Fib, max_dim: int = 2, z: str = "z",
                             if not check_start_agreement(fib, problem):
                                 continue
                             count += 1
-                            if count > per_shape:
+                            if count > 64:
                                 break
                             yield problem
-                        if count > per_shape:
+                        if count > 64:
                             break
 
 
@@ -166,11 +167,10 @@ def _witness(iso: StrictIso, path: FibPath, max_dim: int) -> list:
     return out
 
 
-def _swap_iso(A: Fib, B: Fib, mapping: dict) -> StrictIso:
+def _swap_iso(A: Fib, mapping: dict) -> StrictIso:
     inverse = {v: k for k, v in mapping.items()}
-    return StrictIso(A.family, B.family,
-                     lambda I, rho, a: mapping[a],
-                     lambda I, rho, b: inverse[b], name="swap")
+    return StrictIso(A.family, lambda I, rho, a: mapping[a],
+                     lambda I, rho, b: inverse[b])
 
 
 # The cofibrations over the interval that realignment and strictification
@@ -181,7 +181,7 @@ _COFIBRATIONS = (cof_false(), cof_true(), cof_interval_eq(0))
 def check_functor_laws(report: Report, fixtures, max_dim: int):
     for fx in fixtures:
         _run_check(report, f"functor-laws/{fx.name}",
-                   lambda fx=fx: validate_cset(fx.base, max_dim)
+                   lambda fx=fx: validate_cset(fx.fib.base, max_dim)
                    + validate_cset(fx.fib.family, max_dim))
 
 
@@ -211,7 +211,7 @@ def check_fill(report: Report, fixtures, max_dim: int):
 
 
 def check_realign(report: Report, max_dim: int):
-    fib = FX.discrete_fib(IntervalCSet(), ["x", "y"], "D2/I")
+    fib = FX.discrete_fib(IntervalCSet(), ["x", "y"])
     for cof in _COFIBRATIONS:
         def run(cof=cof):
             realigned = realign(cof, fib, fib)
@@ -232,8 +232,7 @@ def check_realign(report: Report, max_dim: int):
     for gamma in FX.base_maps():
         def run_stab(gamma=gamma):
             lhs = reindex_fib(realign(cof, fib, fib), gamma)
-            cof_g = Cofibration(lambda c, x: cof.face(c, gamma.apply(c, x)),
-                                name="cof.g")
+            cof_g = Cofibration(lambda c, x: cof.face(c, gamma.apply(c, x)))
             fib_g = reindex_fib(fib, gamma)
             rhs = realign(cof_g, fib_g, fib_g)
             return comps_agree(lhs, rhs, enumerate_problems(lhs, max_dim))
@@ -243,13 +242,13 @@ def check_realign(report: Report, max_dim: int):
 
 def check_isofib(report: Report, max_dim: int):
     point = PointCSet()
-    fib = FX.discrete_fib(point, ["x", "y"], "D2")
+    fib = FX.discrete_fib(point, ["x", "y"])
     _run_check(report, "isofib/identity-law",
                lambda: comps_agree(isofib(identity_iso(fib.family), fib), fib,
                                    enumerate_problems(fib, max_dim)))
 
     swap = {"x": "y", "y": "x"}
-    swapped = isofib(_swap_iso(FX.discrete_fib(point, ["x", "y"], "D2'"), fib, swap), fib)
+    swapped = isofib(_swap_iso(FX.discrete_fib(point, ["x", "y"]), swap), fib)
 
     def run_swap():
         out = []
@@ -268,9 +267,9 @@ def check_isofib(report: Report, max_dim: int):
 
 def check_strictify(report: Report, max_dim: int):
     iv = IntervalCSet()
-    B = FX.discrete_fib(iv, ["x", "y"], "B")
-    A = FX.discrete_fib(iv, ["u", "v"], "A")
-    iso = _swap_iso(A, B, {"u": "x", "v": "y"})
+    B = FX.discrete_fib(iv, ["x", "y"])
+    A = FX.discrete_fib(iv, ["u", "v"])
+    iso = _swap_iso(A, {"u": "x", "v": "y"})
     for cof in _COFIBRATIONS:
         def run(cof=cof):
             family, iso2 = strictify(cof, A.family, B.family, iso)
@@ -320,11 +319,11 @@ def check_paths(report: Report, max_dim: int):
     """veebar, improve, isopath and the coercion witness on two two-point
     fibrations over the point."""
     point = PointCSet()
-    A = FX.discrete_fib(point, ["x", "y"], "A")
-    B = FX.discrete_fib(point, ["s", "t"], "B")
-    iso = _swap_iso(A, B, {"x": "s", "y": "t"})
+    A = FX.discrete_fib(point, ["x", "y"])
+    B = FX.discrete_fib(point, ["s", "t"])
+    iso = _swap_iso(A, {"x": "s", "y": "t"})
     path = isopath(iso, A, B)
-    vee, _ = veebar(A, B)
+    vee = veebar(A, B)
     _run_check(report, "veebar/endpoints",
                lambda: _endpoints(FibPath(vee, A, B), max_dim))
 
@@ -342,8 +341,7 @@ def check_paths(report: Report, max_dim: int):
         # a trivial misalignment: the constant line at A, identity isos
         line = reindex_fib(A, fst_map(ProductIntervalCSet(point)))
         ident = identity_iso(A.family)
-        m = MisalignedPath(line, replace(ident, target=line.family), ident, A, A)
-        return _endpoints(improve(m), max_dim)
+        return _endpoints(improve(MisalignedPath(line, ident, ident, A, A)), max_dim)
 
     _run_check(report, "improve/identity-endpoints", run_improve_trivial)
     _run_check(report, "isopath/endpoints", lambda: _endpoints(path, max_dim))
@@ -368,10 +366,8 @@ def check_axioms(report: Report, fixtures, max_dim: int) -> None:
     coercion witnesses, and contract for the contractible fixtures."""
     for fx in fixtures:
         A = fx.fib
-        sigma_a1 = comp_sigma(A, FX.discrete_fib(TotalCSet(fx.base, A.family), ["*"], "1"))
-        iso1 = StrictIso(A.family, sigma_a1.family,
-                         lambda I, rho, a: (a, "*"),
-                         lambda I, rho, p: p[0], name="pair-unit")
+        sigma_a1 = comp_sigma(A, FX.discrete_fib(TotalCSet(A.base, A.family), ["*"]))
+        iso1 = StrictIso(A.family, lambda I, rho, a: (a, "*"), lambda I, rho, p: p[0])
         path = isopath(iso1, A, sigma_a1)
         _run_check(report, f"axiom-1-unit/{fx.name}",
                    lambda path=path: _endpoints(path, max_dim))
@@ -380,26 +376,26 @@ def check_axioms(report: Report, fixtures, max_dim: int) -> None:
 
     # axioms (2) and (5): the double sum flip on discrete data
     point = PointCSet()
-    A = FX.discrete_fib(point, ["a1", "a2"], "A")
-    B = FX.discrete_fib(point, ["b1", "b2"], "B")
+    A = FX.discrete_fib(point, ["a1", "a2"])
+    B = FX.discrete_fib(point, ["b1", "b2"])
     cvals = {"a1": ["c1", "c2"], "a2": ["c3"]}
 
     total_a = TotalCSet(point, A.family)
-    b_over_a = FX.label_fib(total_a, lambda rho: ["b1", "b2"], "B'")
+    b_over_a = FX.label_fib(total_a, lambda rho: ["b1", "b2"])
     c_over_ab = FX.label_fib(TotalCSet(total_a, b_over_a.family),
-                             lambda rho: cvals[rho[0][1]], "C")
+                             lambda rho: cvals[rho[0][1]])
     sigma_ab = comp_sigma(A, comp_sigma(b_over_a, c_over_ab))
 
     total_b = TotalCSet(point, B.family)
-    a_over_b = FX.label_fib(total_b, lambda rho: ["a1", "a2"], "A'")
+    a_over_b = FX.label_fib(total_b, lambda rho: ["a1", "a2"])
     c_over_ba = FX.label_fib(TotalCSet(total_b, a_over_b.family),
-                             lambda rho: cvals[rho[1]], "C'")
+                             lambda rho: cvals[rho[1]])
     sigma_ba = comp_sigma(B, comp_sigma(a_over_b, c_over_ba))
 
     def flip(I, rho, t):
         return (t[1][0], (t[0], t[1][1]))
 
-    flip_iso = StrictIso(sigma_ab.family, sigma_ba.family, flip, flip, name="flip")
+    flip_iso = StrictIso(sigma_ab.family, flip, flip)
     path = isopath(flip_iso, sigma_ab, sigma_ba)
     _run_check(report, "axiom-2-flip", lambda: _endpoints(path, max_dim))
     _run_check(report, "axiom-5-flip-beta", lambda: _witness(flip_iso, path, max_dim))
@@ -414,7 +410,7 @@ def check_axioms(report: Report, fixtures, max_dim: int) -> None:
 
 def check_contract_reindexing(report: Report, max_dim: int):
     iv = IntervalCSet()
-    fib = FX.discrete_fib(iv, ["x"], "D1/I")
+    fib = FX.discrete_fib(iv, ["x"])
     contr = ContrStruct(lambda I, rho: "x", lambda I, rho, a, z: "x")
 
     for gamma in FX.base_maps():
@@ -422,8 +418,7 @@ def check_contract_reindexing(report: Report, max_dim: int):
             line = contract_path(fib, contr).line
             lhs = reindex_fib(
                 line, CSetMap(ProductIntervalCSet(iv), line.base,
-                              lambda c, x: (gamma.apply(c, x[0]), x[1]),
-                              name="gamma*I"))
+                              lambda c, x: (gamma.apply(c, x[0]), x[1])))
             rhs = contract_path(reindex_fib(fib, gamma), contr).line
             return fibs_equal(lhs, rhs, max_dim)
 

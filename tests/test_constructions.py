@@ -12,17 +12,16 @@ E = frozenset()
 
 def point_fibs():
     point = CS.PointCSet()
-    A = FX.discrete_fib(point, ["x", "y"], "A")
-    B = FX.discrete_fib(point, ["s", "t"], "B")
-    iso = CO.StrictIso(A.family, B.family,
-                       lambda I, rho, a: {"x": "s", "y": "t"}[a],
-                       lambda I, rho, b: {"s": "x", "t": "y"}[b], name="swap")
+    A = FX.discrete_fib(point, ["x", "y"])
+    B = FX.discrete_fib(point, ["s", "t"])
+    iso = CO.StrictIso(A.family, lambda I, rho, a: {"x": "s", "y": "t"}[a],
+                       lambda I, rho, b: {"s": "x", "t": "y"}[b])
     return point, A, B, iso
 
 
 def test_realign_bot_equals_alpha():
     iv = CS.IntervalCSet()
-    fib = FX.discrete_fib(iv, ["x", "y"], "D")
+    fib = FX.discrete_fib(iv, ["x", "y"])
     realigned = CO.realign(CS.cof_false(), fib, fib)
     for problem in list(ST.enumerate_problems(fib, 2))[:200]:
         assert realigned.comp(problem) == fib.comp(problem)
@@ -30,7 +29,7 @@ def test_realign_bot_equals_alpha():
 
 def test_realign_restriction_equation_exact():
     iv = CS.IntervalCSet()
-    fib = FX.discrete_fib(iv, ["x", "y"], "D")
+    fib = FX.discrete_fib(iv, ["x", "y"])
     cof = CS.cof_true()
     realigned = CO.realign(cof, fib, fib)
     for problem in list(ST.enumerate_problems(fib, 2))[:200]:
@@ -66,18 +65,17 @@ def test_strictify_endpoint_cases():
 
 def test_strictified_family_functorial_over_interval():
     iv = CS.IntervalCSet()
-    A = FX.discrete_fib(iv, ["u", "v"], "A")
-    B = FX.discrete_fib(iv, ["x", "y"], "B")
-    iso = CO.StrictIso(A.family, B.family,
-                       lambda I, rho, a: {"u": "x", "v": "y"}[a],
-                       lambda I, rho, b: {"x": "u", "y": "v"}[b], name="s")
+    A = FX.discrete_fib(iv, ["u", "v"])
+    B = FX.discrete_fib(iv, ["x", "y"])
+    iso = CO.StrictIso(A.family, lambda I, rho, a: {"u": "x", "v": "y"}[a],
+                       lambda I, rho, b: {"x": "u", "y": "v"}[b])
     fam, _ = CO.strictify(CS.cof_interval_eq(0), A.family, B.family, iso)
     assert CS.validate_cset(fam, max_dim=2, max_points=10, max_pairs=150) == []
 
 
 def test_veebar_comp_delegates():
     _, A, B, _ = point_fibs()
-    vee, _ = CO.veebar(A, B)
+    vee = CO.veebar(A, B)
     zctx = ctx("z")
     problem = FB.Problem(E, "z", 0, ("pt", dm_const(zctx, 1)), face_bot(E),
                          {}, "s")
@@ -87,7 +85,7 @@ def test_veebar_comp_delegates():
 
 def test_veebar_rejects_diagonal_paths():
     _, A, B, _ = point_fibs()
-    vee, _ = CO.veebar(A, B)
+    vee = CO.veebar(A, B)
     zctx = ctx("z")
     problem = FB.Problem(E, "z", 0, ("pt", dm_sym(zctx, "z")), face_bot(E),
                          {}, "x")
@@ -102,7 +100,7 @@ def test_veebar_composes_over_its_restricted_base(sides, count):
     point, A, B, _ = point_fibs()
     if sides == "interval":
         A = FX.interval_fib(point)
-    vee, _ = CO.veebar(A, B)
+    vee = CO.veebar(A, B)
     assert isinstance(vee.base, CS.RestrictedCSet)
     problems = list(ST.enumerate_problems(vee, 2))
     assert len(problems) == count
@@ -126,7 +124,7 @@ def test_isopath_endpoints_exact():
 
 def test_contract_path_unit_to_unit():
     point = CS.PointCSet()
-    unit_like = FX.discrete_fib(point, ["x"], "D1")
+    unit_like = FX.discrete_fib(point, ["x"])
     contr = CO.ContrStruct(lambda I, rho: "x", lambda I, rho, a, z: "x")
     path = CO.contract_path(unit_like, contr)
     unit = FB.comp_unit(point)

@@ -17,7 +17,7 @@ def mkproblem(fib, I_, path, e=0, phi=None, values=None, a0=None, z="z"):
 
 def test_discrete_comp_is_identity():
     point = CS.PointCSet()
-    fib = FX.discrete_fib(point, ["x", "y"], "D2")
+    fib = FX.discrete_fib(point, ["x", "y"])
     problem = mkproblem(fib, E, "pt", a0="x")
     assert fib.comp(problem) == "x"
     assert FB.check_boundary(fib, problem, "x") == []
@@ -63,7 +63,7 @@ def test_interval_two_sided_interpolation():
 
 def test_fill_endpoints_constant_family():
     point = CS.PointCSet()
-    fib = FX.discrete_fib(point, ["x", "y"], "D2")
+    fib = FX.discrete_fib(point, ["x", "y"])
     problem = mkproblem(fib, E, "pt", a0="y")
     q = FB.fill(fib, problem, "w")
     W = ctx("w")
@@ -119,7 +119,7 @@ def test_sigma_comp_forced_by_top():
 def test_problem_enumeration_respects_preconditions():
     from utk.model import selftest as ST
     point = CS.PointCSet()
-    fib = FX.discrete_fib(point, ["x", "y"], "D2")
+    fib = FX.discrete_fib(point, ["x", "y"])
     count = 0
     for problem in ST.enumerate_problems(fib, 2):
         assert FB.check_start_agreement(fib, problem)

@@ -127,3 +127,64 @@ def test_every_local_is_read():
               for path in sorted(paths)
               for line, name in _unread_locals(ast.parse(path.read_text(), str(path)))]
     assert unread == []
+
+
+def _defaults(tree: ast.Module):
+    """(callee name, position, parameter, line) of each defaulted parameter
+    of a module-level function or method, and each plain-default field of a
+    dataclass; position is None for a keyword-only parameter.  A method's
+    position skips `self`/`cls`, and `__init__` and the fields are called by
+    the class name.  Nested functions and `field(...)` slots are skipped."""
+    def params(fn, callee, skip):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k, arg in enumerate(positional[first:], first):
+            yield callee, k - skip, arg.arg, arg.lineno
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield callee, None, arg.arg, arg.lineno
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions):
+            yield from params(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for k, item in enumerate(fields):
+                    value = item.value
+                    if value is not None and not (
+                            isinstance(value, ast.Call) and ast.unparse(value.func) == "field"):
+                        yield node.name, k, item.target.id, item.lineno
+            for item in node.body:
+                if isinstance(item, functions):
+                    static = any(ast.unparse(d) == "staticmethod" for d in item.decorator_list)
+                    callee = node.name if item.name == "__init__" else item.name
+                    yield from params(item, callee, 0 if static else 1)
+
+
+def test_every_default_is_overridden_somewhere():
+    """A default that no call in the package, its tests or the benchmark
+    overrides is a knob nobody sets: use the value.  A call is matched by
+    the callee's name; one with `*args` or `**kwargs` passes everything."""
+    paths = [*PACKAGE.rglob("*.py"), *TESTS.glob("*.py"),
+             *(TESTS.parent / "perfbench").rglob("*.py")]
+    calls = defaultdict(list)  # callee name -> (positional count, keywords)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    kw.arg is None for kw in node.keywords):
+                calls[name].append((float("inf"), set()))
+            else:
+                calls[name].append((len(node.args), {kw.arg for kw in node.keywords}))
+    unset = [f"{path.relative_to(PACKAGE)}:{line} {callee}({param})"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for callee, k, param, line in _defaults(ast.parse(path.read_text(), str(path)))
+             if not any(k is not None and count > k or param in keywords
+                        for count, keywords in calls[callee])]
+    assert unset == []

@@ -114,7 +114,7 @@ def test_check_program_and_postulates():
 
 def test_check_program_empty():
     sc = K.check_program([])
-    assert sc.order == []
+    assert sc.entries == {}
 
 
 def test_check_program_failure_names_declaration():

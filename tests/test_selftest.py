@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -8,6 +10,7 @@ from utk.model import cset as CS
 from utk.model import fib as FB
 from utk.model import fixtures as FX
 from utk.model import selftest as ST
+from utk.report import Report
 
 
 def test_selftest_passes(model_report):
@@ -59,6 +62,16 @@ def test_report_json_stable(model_report):
     assert {"name", "status", "error"} <= set(parsed["declarations"][0].keys())
 
 
+def test_report_json_carries_timing_only_when_asked():
+    report = Report()
+    report.add_ok("a", 0.12345)
+    report.add_error("b", "bad", 2.0)
+    assert all("elapsed" not in row
+               for row in json.loads(report.to_json())["declarations"])
+    timed = json.loads(report.to_json(with_timing=True))["declarations"]
+    assert [row["elapsed"] for row in timed] == [0.123, 2.0]
+
+
 def test_fixture_file_loading(tmp_path):
     path = tmp_path / "fixtures.txt"
     path.write_text(
@@ -70,7 +83,11 @@ def test_fixture_file_loading(tmp_path):
         "  fiber p: u v\n"
         "  fiber q: w\n"
     )
-    loaded = FX.load_fixture_file(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        loaded = FX.load_fixture_file(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert len(loaded) == 1
     fx = loaded[0]
     assert fx.name == "loaded/F"
@@ -80,9 +97,15 @@ def test_fixture_file_loading(tmp_path):
 
 def test_fixture_file_errors(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("family F over missing\n  fiber p: u\n")
-    with pytest.raises(FX.FixtureFormatError):
-        FX.load_fixture_file(path)
+    for text in ("family F over missing\n  fiber p: u\n",
+                 "cset base\n  cells: p\n\nfamily F over base\n  fiber p: u\n  fiber q: v\n",
+                 "cset\n  cells: p\n",
+                 "cset base extra\n  cells: p\n",
+                 "cset base\n  cells: p\n\nfamily F over\n  fiber p: u\n",
+                 "cset base\n  cells: p\n\nfamily F over base\n  fiber\n"):
+        path.write_text(text)
+        with pytest.raises(FX.FixtureFormatError):
+            FX.load_fixture_file(path)
 
 
 def test_selftest_with_loaded_fixtures(fixtures_selftest_cli):
@@ -96,16 +119,16 @@ def test_selftest_with_loaded_fixtures(fixtures_selftest_cli):
 
 def two_point_path():
     point = CS.PointCSet()
-    A = FX.discrete_fib(point, ["x", "y"], "A")
-    B = FX.discrete_fib(point, ["s", "t"], "B")
-    iso = ST._swap_iso(A, B, {"x": "s", "y": "t"})
+    A = FX.discrete_fib(point, ["x", "y"])
+    B = FX.discrete_fib(point, ["s", "t"])
+    iso = ST._swap_iso(A, {"x": "s", "y": "t"})
     return A, B, iso, CO.isopath(iso, A, B)
 
 
 def test_boundary_flags_a_composition_that_ignores_the_walls():
     sound = FX.interval_fib(CS.PointCSet())
     assert ST._boundary(sound, 2) == []
-    stuck = FB.Fib(sound.family, FB.comp_discrete, name="stuck")
+    stuck = FB.Fib(sound.family, FB.comp_discrete)
     assert ST._boundary(stuck, 2)
 
 
@@ -118,7 +141,33 @@ def test_endpoints_flags_a_wrong_recorded_target():
 
 
 def test_witness_flags_a_wrong_iso():
-    A, B, iso, path = two_point_path()
+    A, _, iso, path = two_point_path()
     assert ST._witness(iso, path, 2) == []
-    crossed = ST._swap_iso(A, B, {"x": "t", "y": "s"})
+    crossed = ST._swap_iso(A, {"x": "t", "y": "s"})
     assert ST._witness(crossed, path, 2)
+
+
+def test_strictify_flags_a_restriction_that_skips_the_inverse(model_report, monkeypatch):
+    # entering the region, a restriction must pass through iso.bwd once
+    rows = ["strictify/(i=0)", "strictify-fib/(i=0)"]
+    status = {e.name: e.status for e in model_report.entries}
+    assert [status[name] for name in rows] == ["ok", "ok"]
+
+    def skips_bwd(self, rho, f, x):
+        if self.cof.holds(f.src, rho):
+            return self.partial.restrict(rho, f, x)
+        return self.total.restrict(rho, f, x)
+
+    monkeypatch.setattr(CO.StrictifiedFamily, "restrict", skips_bwd)
+    report = Report()
+    ST.check_strictify(report, 2)
+    failed = [e.name for e in report.entries if e.status != "ok"]
+    assert failed == rows
+
+
+def test_endpoints_flags_a_veebar_stuck_at_one_side(monkeypatch):
+    A, B, _, _ = two_point_path()
+    assert ST._endpoints(CO.FibPath(CO.veebar(A, B), A, B), 2) == []
+    monkeypatch.setattr(CO, "_side", lambda rho: 0)
+    violations = ST._endpoints(CO.FibPath(CO.veebar(A, B), A, B), 2)
+    assert violations and all(v[0] == 1 for v in violations)
