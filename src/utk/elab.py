@@ -13,7 +13,7 @@ import time
 from . import kernel as K
 from . import syntax as S
 from .report import Report
-from .syntax import Constant, Declaration, Hole, Term, Var
+from .syntax import Constant, Declaration, Hole, Term
 
 
 class ElabError(Exception):
@@ -35,7 +35,7 @@ def elab_term(term: Term, binders: list, constants) -> Term:
         if cls is Constant:
             name = term.name
             if name in index:
-                return Var(depth + index[name])
+                return S.var(depth + index[name])
             if name not in constants:
                 raise UnboundIdentifierError(f"unbound identifier: {name}")
             return term

@@ -416,7 +416,7 @@ def quote_neutral(d: int, value: VNeutral):
     spine)."""
     head = value.head
     spine = value.spine
-    term: Term = Var(d - 1 - head.lvl) if head.__class__ is VVar else Constant(head.name)
+    term: Term = S.var(d - 1 - head.lvl) if head.__class__ is VVar else Constant(head.name)
     ty = head.type
     for i, item in enumerate(spine):
         t = whnf(ty)
@@ -662,30 +662,14 @@ class Checker:
                 pv = self.eval(p)
                 return VId(pt, pv, pv)
             case Apply(f, a):
-                ft = whnf(self.infer(f))
-                match ft:
-                    case VPi(dom, cod, _):
-                        self.check(a, dom)
-                        return cod.apply(delay(self.scope, self.env, a))
-                raise KernelError(
-                    f"cannot apply a term of non-function type "
-                    f"{S.pretty_print(quote_type(self.depth, ft), self.names)}")
+                ft = self._infer_as(VPi, f, "cannot apply a term of non-function type")
+                self.check(a, ft.domain)
+                return ft.codomain.apply(delay(self.scope, self.env, a))
             case Fst(p):
-                pt = whnf(self.infer(p))
-                match pt:
-                    case VSigma(first, _, _):
-                        return first
-                raise KernelError(
-                    f"fst of a term of non-pair type "
-                    f"{S.pretty_print(quote_type(self.depth, pt), self.names)}")
+                return self._infer_as(VSigma, p, "fst of a term of non-pair type").first
             case Snd(p):
-                pt = whnf(self.infer(p))
-                match pt:
-                    case VSigma(_, second, _):
-                        return second.apply(do_fst(self.eval(p)))
-                raise KernelError(
-                    f"snd of a term of non-pair type "
-                    f"{S.pretty_print(quote_type(self.depth, pt), self.names)}")
+                pt = self._infer_as(VSigma, p, "snd of a term of non-pair type")
+                return pt.second.apply(do_fst(self.eval(p)))
             case J(m, b, l, r, pr, hints):
                 try:
                     a_ty = self.infer(l)
@@ -730,14 +714,15 @@ class Checker:
                     "placeholder in a position with no expected type")
         raise S.MalformedTermError(f"not a term: {term!r}")
 
-    def infer_universe(self, term: Term) -> int:
+    def _infer_as(self, cls, term: Term, what: str) -> Value:
+        """The type of `term`, in whnf, which must be a `cls`."""
         ty = whnf(self.infer(term))
-        match ty:
-            case VUniverse(i):
-                return i
-        raise KernelError(
-            f"expected a universe, got "
-            f"{S.pretty_print(quote_type(self.depth, ty), self.names)}")
+        if ty.__class__ is not cls:
+            raise KernelError(f"{what} {S.pretty_print(quote_type(self.depth, ty), self.names)}")
+        return ty
+
+    def infer_universe(self, term: Term) -> int:
+        return self._infer_as(VUniverse, term, "expected a universe, got").level
 
     def solve_placeholder(self, type_v: Value, d: int = None) -> Term:
         """Inhabit a definitional singleton type; the solution is closed."""
@@ -853,6 +838,5 @@ def check_program(decls) -> GlobalScope:
     """Fold declarations in order; postulates become opaque constants."""
     scope = GlobalScope()
     for decl in decls:
-        entry = check_declaration(scope, decl)
-        scope.add(decl.name, entry)
+        scope.add(decl.name, check_declaration(scope, decl))
     return scope

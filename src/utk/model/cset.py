@@ -228,27 +228,6 @@ class TotalCSet(CubicalSet):
         return (self.base.restrict(f, b), self.family.restrict(b, f, a))
 
 
-class TabularCSet(CubicalSet):
-    """Explicit finite presheaf given by tables, for fault-injection tests.
-    Missing action entries fall back to the identity on cells (the discrete
-    action)."""
-
-    def __init__(self, cells_by_dim: dict, action: dict = None):
-        self._cells = {frozenset(k): list(v) for k, v in cells_by_dim.items()}
-        self.action = action or {}
-
-    def cells(self, context):
-        if context not in self._cells:
-            raise ElementNotInObjectError(f"no cells recorded at {sorted(context)}")
-        return list(self._cells[context])
-
-    def restrict(self, f, x):
-        key = (f, x)
-        if key in self.action:
-            return self.action[key]
-        return x
-
-
 class Cofibration:
     """A cofibration over a cubical set: a natural assignment of a face
     formula to every cell.  Its denotation at each stage is the set of cells

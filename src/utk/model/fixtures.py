@@ -72,14 +72,11 @@ class TotalSliceFamily(Family):
         super().__init__(total)
         self.slices = slices  # total point -> Family
 
-    def _slice(self, rho):
-        return self.slices[rho]
-
     def fiber(self, context, rho):
-        return self._slice(rho).fiber(context, rho)
+        return self.slices[rho].fiber(context, rho)
 
     def restrict(self, rho, f, a):
-        return self._slice(rho).restrict(rho, f, a)
+        return self.slices[rho].restrict(rho, f, a)
 
 
 def sigma_fixture():
@@ -152,11 +149,19 @@ def builtin_fixtures():
 #
 # Declares constant (discrete) cubical sets and families over them; a family
 # gives one fiber line for each cell of its cset and for no other.  Blocks
-# are separated by blank lines, comments start with '#'.
+# are separated by blank lines, comments start with '#'.  Nothing may be
+# declared twice: no cset or family name, cells line, cell, fiber or label.
 
 
 class FixtureFormatError(Exception):
     pass
+
+
+def _once(seen: set, item, lineno: int, what: str):
+    """Record `item` in `seen`; a fixture file declares nothing twice."""
+    if item in seen:
+        raise FixtureFormatError(f"line {lineno}: {what} is declared twice")
+    seen.add(item)
 
 
 def load_fixture_file(path) -> list:
@@ -176,8 +181,7 @@ def load_fixture_file(path) -> list:
                 raise FixtureFormatError(f"family {name} over unknown cset {over}")
             missing = [c for c in base.labels if c not in fibers]
             if missing:
-                raise FixtureFormatError(
-                    f"family {name} is missing fibers for {missing}")
+                raise FixtureFormatError(f"family {name} is missing fibers for {missing}")
             stray = [c for c in fibers if c not in base.labels]
             if stray:
                 raise FixtureFormatError(
@@ -187,7 +191,8 @@ def load_fixture_file(path) -> list:
         mode = None
         fibers = {}
 
-    for raw in text.splitlines():
+    declared = set()  # (kind, name, ...) of everything declared so far
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             finish()
@@ -199,16 +204,25 @@ def load_fixture_file(path) -> list:
                 raise FixtureFormatError(f"bad cset header: {line!r}")
             name = parts[1]
             mode = "cset"
+            _once(declared, (mode, name), lineno, f"cset {name}")
         elif parts[0] == "family":
             finish()
             if len(parts) != 4 or parts[2] != "over":
                 raise FixtureFormatError(f"bad family header: {line!r}")
             name, over = parts[1], parts[3]
             mode = "family"
+            _once(declared, (mode, name), lineno, f"family {name}")
         elif parts[0] == "cells:" and mode == "cset":
+            _once(declared, ("cells", name), lineno, f"the cells line of cset {name}")
+            for cell in parts[1:]:
+                _once(declared, ("cell", name, cell), lineno, f"cell {cell} of cset {name}")
             csets[name] = DiscreteCSet(parts[1:])
         elif parts[0] == "fiber" and mode == "family" and len(parts) > 1:
             cell = parts[1].rstrip(":")
+            _once(declared, ("fiber", name, cell), lineno, f"the fiber over {cell} in family {name}")
+            for label in parts[2:]:
+                _once(declared, ("label", name, cell, label), lineno,
+                      f"label {label} of the fiber over {cell}")
             fibers[cell] = parts[2:]
         else:
             raise FixtureFormatError(f"unrecognized fixture line: {line!r}")

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import syntax as S
 from .syntax import (
     Apply, Constant, Declaration, Fst, Hole, Id, J, Lambda, Pair, Pi, Refl,
-    Sigma, Snd, Term, Var, shift,
+    Sigma, Snd, Term, shift,
 )
 
 
@@ -244,7 +244,7 @@ class _Parser:
             names = self.names
             for i in range(len(names) - 1, -1, -1):
                 if names[i] == tok.text:
-                    return Var(len(names) - 1 - i)
+                    return S.var(len(names) - 1 - i)
             return Constant(tok.text)
         if tok.kind == "_":
             self.next()
@@ -284,7 +284,7 @@ def _strip_binders(term: Term, n: int):
         if not isinstance(body, Lambda):
             wrapped = shift(term, n)
             for i in range(n - 1, -1, -1):
-                wrapped = Apply(wrapped, Var(i))
+                wrapped = Apply(wrapped, S.var(i))
             return wrapped, ("x", "y", "p")[:n]
         hints.append(body.hint)
         body = body.body

@@ -2,11 +2,17 @@
 
 Variables are de Bruijn indices; the names attached to binders are printing
 hints only and never influence equality (they are excluded from comparison).
+
+Terms are slotted dataclasses, small and quick to build, and nothing assigns
+a field of a term once it is built except checking's `Hole.solution`.  So a
+term may be shared: every construction site takes its `Var` and `Universe`
+from `var` and `universe`, which keep one of each index and level.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -28,81 +34,81 @@ class Level:
             raise MalformedTermError(f"universe level {self.index} out of range 0..{MAX_LEVEL}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var:
     ix: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Universe:
     level: Level
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pi:
     domain: "Term"
     codomain: "Term"  # binds one variable
     hint: str = field(default="_", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Lambda:
     body: "Term"  # binds one variable
     hint: str = field(default="x", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Apply:
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sigma:
     first: "Term"
     second: "Term"  # binds one variable
     hint: str = field(default="_", compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pair:
     fst: "Term"
     snd: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Fst:
     pair: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Snd:
     pair: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Unit:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Star:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Id:
     type: "Term"
     lhs: "Term"
     rhs: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Refl:
     point: "Term"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class J:
     """Identity eliminator.
 
@@ -119,12 +125,12 @@ class J:
     hints: tuple = field(default=("x", "y", "p", "x"), compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Constant:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Annot:
     term: "Term"
     type: "Term"
@@ -150,7 +156,15 @@ UNIT = Unit()
 STAR = Star()
 
 
+@functools.cache
+def var(ix: int) -> Var:
+    """The one `Var` of index `ix` (kept for good: one per index met)."""
+    return Var(ix)
+
+
+@functools.cache
 def universe(i: int) -> Universe:
+    """The one `Universe` of level `i` (`Level` rejects any other `i`)."""
     return Universe(Level(i))
 
 
@@ -266,7 +280,7 @@ def _scan(term: Term, depth: int, consts: set, unnamed: set) -> Optional[int]:
 def shift(term: Term, by: int, cutoff: int = 0) -> Term:
     """Shift free variables at or above `cutoff` by `by`."""
     if isinstance(term, Var):
-        return Var(term.ix + by) if term.ix >= cutoff else term
+        return var(term.ix + by) if term.ix >= cutoff else term
     return map_subterms(term, lambda sub, binds: shift(sub, by, cutoff + binds))
 
 
@@ -292,13 +306,21 @@ def _fresh(hint: str, avoid: set) -> str:
 def pretty_print(term: Term, names: list) -> str:
     """Render `term` in surface syntax; `names` gives the enclosing binders,
     innermost last.  One walk checks scope and finds the unused Pi and Sigma
-    binders, and a second appends the text to one buffer."""
+    binders, and a second writes the text to one buffer."""
     avoid, unnamed = set(names), set()
     if _scan(term, len(names), avoid, unnamed) is None:
         raise MalformedTermError("pretty_print: term is not well scoped")
-    out: list = []
-    _emit(term, 0, list(names), avoid, unnamed, out.append)
-    return "".join(out)
+    chunks, pieces = [], []
+
+    def put(piece: str):  # held as joined chunks: a list of pieces or a StringIO peaks higher
+        pieces.append(piece)
+        if len(pieces) == 1024:
+            chunks.append("".join(pieces))
+            pieces.clear()
+
+    _emit(term, 0, list(names), avoid, unnamed, put)
+    chunks.append("".join(pieces))
+    return "".join(chunks)
 
 
 # `names` and `avoid` grow and shrink in place at each binder.  A fresh name

@@ -55,10 +55,27 @@ def test_validate_product_and_total():
     assert CS.validate_cset(CS.IntervalFamily(CS.PointCSet()), max_dim=2) == []
 
 
+class TabularCSet(CS.CubicalSet):
+    """Explicit finite presheaf given by tables, for fault injection.  Missing
+    action entries fall back to the identity on cells (the discrete action)."""
+
+    def __init__(self, cells_by_dim: dict, action: dict):
+        self._cells = {frozenset(k): list(v) for k, v in cells_by_dim.items()}
+        self.action = action
+
+    def cells(self, context):
+        if context not in self._cells:
+            raise CS.ElementNotInObjectError(f"no cells recorded at {sorted(context)}")
+        return list(self._cells[context])
+
+    def restrict(self, f, x):
+        return self.action.get((f, x), x)
+
+
 def corrupted_cset():
     """A discrete cset whose face i := 0 wrongly sends a to b."""
     face = CS.CubeMap.face(I, frozenset({("i", 0)}))
-    return CS.TabularCSet({E: ["a", "b"], I: ["a", "b"],
+    return TabularCSet({E: ["a", "b"], I: ["a", "b"],
                            IJ: ["a", "b"],
                            frozenset({"j"}): ["a", "b"]},
                           action={(face, "a"): "b"})

@@ -1,10 +1,12 @@
 """Source hygiene of the `utk` package and its tests."""
 
 import ast
+import dataclasses
 from collections import defaultdict
 from pathlib import Path
 
 import utk
+from utk import syntax as S
 
 PACKAGE = Path(utk.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -188,3 +190,30 @@ def test_every_default_is_overridden_somewhere():
              if not any(k is not None and count > k or param in keywords
                         for count, keywords in calls[callee])]
     assert unset == []
+
+
+def test_no_code_assigns_a_field_of_a_core_term():
+    """Core terms are not frozen, and one `Var` or `Universe` is shared by
+    every term that holds it: no code of `utk` assigns or deletes a field of
+    a core term (`self` aside, and term classes have no methods), or calls
+    `setattr` or `__setattr__`.  Checking's `Hole.solution` is the one field
+    written after construction."""
+    formers = (*S.SUBTERMS, *S.LEAVES)
+    fields = {f.name for cls in formers for f in dataclasses.fields(cls)}
+    writes = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in {c.__name__ for c in formers}:
+                if any(isinstance(item, ast.FunctionDef) for item in node.body):
+                    writes.append(f"{path.name}:{node.lineno} methods of {node.name}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+                  and node.attr in fields
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                writes.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"):
+                writes.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+    assert "solution" not in fields
+    assert writes == []

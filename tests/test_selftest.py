@@ -106,6 +106,20 @@ def test_fixture_file_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(FX.FixtureFormatError):
             FX.load_fixture_file(path)
+    # Nothing is declared twice; the error names the line of the repeat.
+    base = "cset base\n  cells: p q\n\n"
+    family = "family F over base\n  fiber p: u\n  fiber q: w\n"
+    for text, line in (("cset base\n  cells: p q p\n", 2),
+                       ("cset base\n  cells: p\n  cells: q\n", 3),
+                       (base + "family F over base\n  fiber p: u v u\n  fiber q: w\n", 5),
+                       (base + "family F over base\n  fiber p: u\n  fiber p: v\n", 6),
+                       (base + "cset base\n  cells: r\n", 4),
+                       (base + family + "\n" + family, 8)):
+        path.write_text(text)
+        with pytest.raises(FX.FixtureFormatError, match=f"^line {line}: .* declared twice"):
+            FX.load_fixture_file(path)
+    path.write_text(base + "family F over base\n  fiber p:\n  fiber q: w\n")
+    assert FX.load_fixture_file(path)[0].fib.family.fiber(frozenset(), "p") == []
 
 
 def test_selftest_with_loaded_fixtures(fixtures_selftest_cli):
