@@ -10,8 +10,9 @@ glued neutral: its name and spine, plus its unfolding, computed when first
 needed.  Conversion compares two glued neutrals with the same head by their
 spines before it unfolds them, and `whnf` unfolds wherever a value's shape is
 matched.  Quoting unfolds every transparent definition, so normal forms do not
-depend on the gluing.  The hot paths dispatch on `__class__` with `is` tests,
-most frequent class first; no term or value class is subclassed.
+depend on the gluing; a normal form shares every repeated subterm, built once
+per call.  The hot paths dispatch on `__class__` with `is` tests, most
+frequent class first; no term or value class is subclassed.
 """
 
 from __future__ import annotations
@@ -368,42 +369,56 @@ def fresh(lvl: int, type_v: Value) -> VNeutral:
 # every transparent constant unfolded)
 
 
-def quote(d: int, value: Value, type_v: Value) -> Term:
+def _node(nodes: dict, cls, *fields) -> Term:
+    """The readback's one `cls(*fields)`.  Subterms (unhashable) key by id,
+    which the node keeps alive; hints and names key by value."""
+    key = (cls, *[id(f) if f.__hash__ is None else f for f in fields])
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = cls(*fields)
+    return node
+
+
+def quote(d: int, value: Value, type_v: Value, nodes: dict) -> Term:
     ty = whnf(type_v)
     cls = ty.__class__
     if cls is VNeutral or cls is VId:
         v = whnf(value)
         if v.__class__ is VNeutral:
-            return quote_neutral(d, v)[0]
+            return quote_neutral(d, v, nodes)[0]
         if v.__class__ is VRefl and cls is VId:
-            return Refl(quote(d, v.point, ty.type))
+            return _node(nodes, Refl, quote(d, v.point, ty.type, nodes))
     elif cls is VUniverse:
-        return quote_type(d, value)
+        return quote_type(d, value, nodes)
     elif cls is VPi:
-        x = fresh(d, ty.domain)
-        h = ty.hint
-        return Lambda(quote(d + 1, do_apply(value, x), ty.codomain.apply(x)), h if h != "_" else "x")
+        x, h = fresh(d, ty.domain), ty.hint
+        body = quote(d + 1, do_apply(value, x), ty.codomain.apply(x), nodes)
+        return _node(nodes, Lambda, body, h if h != "_" else "x")
     elif cls is VSigma:
         a = do_fst(value)
-        return Pair(quote(d, a, ty.first), quote(d, do_snd(value), ty.second.apply(a)))
+        return _node(nodes, Pair, quote(d, a, ty.first, nodes),
+                     quote(d, do_snd(value), ty.second.apply(a), nodes))
     elif cls is VUnit:
         return S.STAR
     raise KernelError(f"quote: value {value!r} does not fit type {type_v!r}")
 
 
-def quote_type(d: int, value: Value) -> Term:
+def quote_type(d: int, value: Value, nodes: dict) -> Term:
     v = whnf(value)
     cls = v.__class__
     if cls is VNeutral:
-        return quote_neutral(d, v)[0]
+        return quote_neutral(d, v, nodes)[0]
     if cls is VSigma:
         x = fresh(d, v.first)
-        return Sigma(quote_type(d, v.first), quote_type(d + 1, v.second.apply(x)), v.hint)
+        return _node(nodes, Sigma, quote_type(d, v.first, nodes),
+                     quote_type(d + 1, v.second.apply(x), nodes), v.hint)
     if cls is VId:
-        return Id(quote_type(d, v.type), quote(d, v.lhs, v.type), quote(d, v.rhs, v.type))
+        return _node(nodes, Id, quote_type(d, v.type, nodes), quote(d, v.lhs, v.type, nodes),
+                     quote(d, v.rhs, v.type, nodes))
     if cls is VPi:
         x = fresh(d, v.domain)
-        return Pi(quote_type(d, v.domain), quote_type(d + 1, v.codomain.apply(x)), v.hint)
+        return _node(nodes, Pi, quote_type(d, v.domain, nodes),
+                     quote_type(d + 1, v.codomain.apply(x), nodes), v.hint)
     if cls is VUniverse:
         return S.universe(v.level)
     if cls is VUnit:
@@ -411,36 +426,34 @@ def quote_type(d: int, value: Value) -> Term:
     raise KernelError(f"quote_type: not a type value: {value!r}")
 
 
-def quote_neutral(d: int, value: VNeutral):
+def quote_neutral(d: int, value: VNeutral, nodes: dict):
     """Read back a rigid neutral; returns (term, type value of the whole
     spine)."""
     head = value.head
     spine = value.spine
-    term: Term = S.var(d - 1 - head.lvl) if head.__class__ is VVar else Constant(head.name)
+    term: Term = S.var(d - 1 - head.lvl) if head.__class__ is VVar else _node(nodes, Constant, head.name)
     ty = head.type
     for i, item in enumerate(spine):
         t = whnf(ty)
         cls, tcls = item.__class__, t.__class__
         if cls is SApp and tcls is VPi:
-            term = Apply(term, quote(d, force(item.arg), t.domain))
+            term = _node(nodes, Apply, term, quote(d, force(item.arg), t.domain, nodes))
             ty = t.codomain.apply(item.arg)
         elif cls is SFst and tcls is VSigma:
-            term = Fst(term)
+            term = _node(nodes, Fst, term)
             ty = t.first
         elif cls is SSnd and tcls is VSigma:
-            term = Snd(term)
+            term = _node(nodes, Snd, term)
             ty = t.second.apply(do_fst(VNeutral(head, spine[:i])))
         elif cls is SJ and tcls is VId:
             a_ty, motive = t.type, item.motive
             x, y = fresh(d, a_ty), fresh(d + 1, a_ty)
             p = fresh(d + 2, VId(a_ty, x, y))
-            motive_t = quote_type(d + 3, motive.apply(x, y, p))
+            motive_t = quote_type(d + 3, motive.apply(x, y, p), nodes)
             bx = fresh(d, a_ty)
-            base_t = quote(d + 1, item.base.apply(bx), motive.apply(bx, bx, VRefl(bx)))
-            term = J(
-                motive_t, base_t,
-                quote(d, item.lhs, a_ty), quote(d, item.rhs, a_ty), term, item.hints,
-            )
+            base_t = quote(d + 1, item.base.apply(bx), motive.apply(bx, bx, VRefl(bx)), nodes)
+            lhs, rhs = quote(d, item.lhs, a_ty, nodes), quote(d, item.rhs, a_ty, nodes)
+            term = _node(nodes, J, motive_t, base_t, lhs, rhs, term, item.hints)
             ty = motive.apply(item.lhs, item.rhs, VNeutral(head, spine[:i]))
         else:
             raise KernelError(f"quote_neutral: ill-typed spine item {item!r} at {ty!r}")
@@ -718,8 +731,11 @@ class Checker:
         """The type of `term`, in whnf, which must be a `cls`."""
         ty = whnf(self.infer(term))
         if ty.__class__ is not cls:
-            raise KernelError(f"{what} {S.pretty_print(quote_type(self.depth, ty), self.names)}")
+            raise KernelError(f"{what} {self._show(ty)}")
         return ty
+
+    def _show(self, type_v: Value) -> str:
+        return S.pretty_print(quote_type(self.depth, type_v, {}), self.names)
 
     def infer_universe(self, term: Term) -> int:
         return self._infer_as(VUniverse, term, "expected a universe, got").level
@@ -739,7 +755,7 @@ class Checker:
                 return Lambda(body, h if h != "_" else "x")
         raise UnsolvablePlaceholderError(
             "placeholder not determined by its expected type "
-            + S.pretty_print(quote_type(d, type_v), self.names + ["?"] * (d - self.depth)))
+            + S.pretty_print(quote_type(d, type_v, {}), self.names + ["?"] * (d - self.depth)))
 
     def check(self, term: Term, type_v: Value):
         match term, whnf(type_v):
@@ -752,16 +768,14 @@ class Checker:
                 return
             case Lambda(), _:
                 raise KernelError(
-                    "a lambda only checks against a function type, not "
-                    + S.pretty_print(quote_type(self.depth, type_v), self.names))
+                    "a lambda only checks against a function type, not " + self._show(type_v))
             case Pair(a, b), VSigma(first, second, _):
                 self.check(a, first)
                 self.check(b, second.apply(delay(self.scope, self.env, a)))
                 return
             case Pair(), _:
                 raise KernelError(
-                    "a pair only checks against a pair type, not "
-                    + S.pretty_print(quote_type(self.depth, type_v), self.names))
+                    "a pair only checks against a pair type, not " + self._show(type_v))
             case Refl(p), VId(ty, lhs, rhs):
                 # lets the point be a pair or lambda, which cannot infer
                 self.check(p, ty)
@@ -769,15 +783,15 @@ class Checker:
                 if not (convert(self.depth, pv, lhs, ty)
                         and convert(self.depth, pv, rhs, ty)):
                     raise TypeMismatchError(
-                        quote_type(self.depth, type_v),
-                        quote_type(self.depth, VId(ty, pv, pv)), self.names)
+                        quote_type(self.depth, type_v, {}),
+                        quote_type(self.depth, VId(ty, pv, pv), {}), self.names)
                 return
             case _:
                 inferred = self.infer(term)
                 if not subtype(self.depth, inferred, type_v):
                     raise TypeMismatchError(
-                        quote_type(self.depth, type_v),
-                        quote_type(self.depth, inferred), self.names)
+                        quote_type(self.depth, type_v, {}),
+                        quote_type(self.depth, inferred, {}), self.names)
 
 
 def _context_checker(scope: GlobalScope, ctx) -> Checker:
@@ -798,7 +812,7 @@ def normalize(scope: GlobalScope, ctx, term: Term) -> Term:
     if not S.validate(term, chk.depth):
         raise S.MalformedTermError("normalize: term is not well scoped")
     ty = chk.infer(term)
-    return quote(chk.depth, chk.eval(term), ty)
+    return quote(chk.depth, chk.eval(term), ty, {})
 
 
 def convertible(scope: GlobalScope, ctx, t: Term, u: Term, type: Term) -> bool:
@@ -810,7 +824,7 @@ def convertible(scope: GlobalScope, ctx, t: Term, u: Term, type: Term) -> bool:
 
 def infer(scope: GlobalScope, ctx, term: Term) -> Term:
     chk = _context_checker(scope, ctx)
-    return quote_type(chk.depth, chk.infer(term))
+    return quote_type(chk.depth, chk.infer(term), {})
 
 
 def check(scope: GlobalScope, ctx, term: Term, type: Term) -> None:

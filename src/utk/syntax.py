@@ -5,8 +5,9 @@ hints only and never influence equality (they are excluded from comparison).
 
 Terms are slotted dataclasses, small and quick to build, and nothing assigns
 a field of a term once it is built except checking's `Hole.solution`.  So a
-term may be shared: every construction site takes its `Var` and `Universe`
-from `var` and `universe`, which keep one of each index and level.
+term may be shared, a DAG rather than a tree: every construction site takes
+its `Var` and `Universe` from `var` and `universe`, which keep one of each
+index and level, and a normal form shares every repeated subterm.
 """
 
 from __future__ import annotations

@@ -236,9 +236,9 @@ FALL_THROUGHS = [
      K.KernelError, "cannot apply non-function value VStar()"),
     (lambda: K.do_fst(K.V_STAR), K.KernelError, "cannot project non-pair value VStar()"),
     (lambda: K.do_snd(K.V_STAR), K.KernelError, "cannot project non-pair value VStar()"),
-    (lambda: K.quote(0, K.V_STAR, K.VId(K.V_UNIT, K.V_STAR, K.V_STAR)), K.KernelError,
+    (lambda: K.quote(0, K.V_STAR, K.VId(K.V_UNIT, K.V_STAR, K.V_STAR), {}), K.KernelError,
      "quote: value VStar() does not fit type VId(type=VUnit(), lhs=VStar(), rhs=VStar())"),
-    (lambda: K.quote_type(0, K.V_STAR), K.KernelError, "quote_type: not a type value: VStar()"),
+    (lambda: K.quote_type(0, K.V_STAR, {}), K.KernelError, "quote_type: not a type value: VStar()"),
     (lambda: S.pretty_print(Pair(Star(), "star"), []),
      S.MalformedTermError, "not a term: 'star'"),
 ]

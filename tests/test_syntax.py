@@ -150,9 +150,10 @@ def test_parsed_and_checked_terms_use_the_shared_leaves(checked_corpus):
 
 
 def test_a_large_normal_form_is_small_and_shares_its_leaves(checked_corpus):
-    """`conj1_to_conj2`'s normal form has 27.6 k distinct nodes; its size
-    is measured on a second normalization, once the constants it unfolds
-    are forced."""
+    """`conj1_to_conj2`'s normal form is 28,248 nodes as a tree and 921
+    distinct nodes, and retains about 46.5 KB (763 KB when only the leaves
+    were shared); its size is measured on a second normalization, once the
+    constants it unfolds are forced."""
     core, scope, _ = checked_corpus
     decl = next(d for d in core if d.name == "conj1_to_conj2")
     term = S.Annot(decl.body, decl.type)
@@ -166,5 +167,72 @@ def test_a_large_normal_form_is_small_and_shares_its_leaves(checked_corpus):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained < 1.2e6, retained
+    assert retained < 0.15e6, retained
     assert _unshared_leaves(nf) == []
+
+
+def _nodes(term) -> dict:
+    """The distinct nodes of `term`, by id."""
+    nodes, stack = {}, [term]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(getattr(t, name) for name, _ in S.SUBTERMS.get(type(t), ()))
+    return nodes
+
+
+def _repeated_subterms(term) -> list:
+    """Each node of `term` that is a second distinct object equal, hints
+    included, to another node.  Nodes are numbered bottom-up by the first
+    node of their kind, so no key is deeper than one level."""
+    first, canon, repeated = {}, {}, []  # key -> first node; id -> its first node
+    stack = [(term, False)]
+    while stack:
+        t, children_done = stack.pop()
+        if id(t) in canon:
+            continue
+        subs = [name for name, _ in S.SUBTERMS.get(type(t), ())]
+        if not children_done:
+            stack.append((t, True))
+            stack.extend((getattr(t, name), False) for name in subs)
+            continue
+        key = (type(t), *(id(canon[id(getattr(t, f.name))]) if f.name in subs
+                          else getattr(t, f.name) for f in dataclasses.fields(t)))
+        canon[id(t)] = first.setdefault(key, t)
+        if canon[id(t)] is not t:
+            repeated.append(t)
+    return repeated
+
+
+def test_every_corpus_normal_form_shares_its_repeated_subterms(corpus_normal_forms):
+    for name, nf, _, _ in corpus_normal_forms:
+        assert _repeated_subterms(nf) == [], name
+    x = S.var(0)
+    assert len(_repeated_subterms(Apply(Lambda(x, "a"), Lambda(x, "a")))) == 1
+    assert _repeated_subterms(Apply(Lambda(x, "a"), Lambda(x, "b"))) == []
+
+
+def test_subterms_that_differ_in_a_hint_stay_apart():
+    source = textwrap.dedent("""
+        def A : U1 := (a : U0) -> U0
+        def B : U1 := (b : U0) -> U0
+        def f : (p : A) * B := (\\x -> x, \\y -> y)
+    """)
+    core, scope, _, failure = E.elaborate_and_check(P.parse_program(source))
+    assert failure is None
+    nf = K.normalize(scope, [], S.Annot(core[-1].body, core[-1].type))
+    assert S.pretty_print(nf, []) == "(\\a -> a, \\b -> b)"
+    assert nf.fst == nf.snd and nf.fst is not nf.snd
+
+
+def test_each_normalization_builds_its_own_nodes(checked_corpus):
+    core, scope, _ = checked_corpus
+    decl = next(d for d in core if d.name == "conj1_to_conj2")
+    term = S.Annot(decl.body, decl.type)
+    first, second = K.normalize(scope, [], term), K.normalize(scope, [], term)
+    assert first == second
+    inner = [t for t in _nodes(first).values() if not isinstance(t, S.LEAVES)]
+    assert len(inner) > 800
+    theirs = _nodes(second)
+    assert not any(id(t) in theirs for t in inner)
