@@ -13,7 +13,7 @@ import time
 from . import kernel as K
 from . import syntax as S
 from .report import Report
-from .syntax import Constant, Declaration, Hole, Term
+from .syntax import Constant, Declaration, Hole, Term, Var
 
 
 class ElabError(Exception):
@@ -24,14 +24,17 @@ class UnboundIdentifierError(ElabError):
     pass
 
 
-def elab_term(term: Term, binders: list, constants) -> Term:
+def elab_term(term: Term, binders: list, constants, holes: list = None) -> Term:
     """Resolve the names the parser left as constants: one named in
     `binders`, the enclosing binder names (innermost last), becomes its
-    `Var`; any other must be in `constants`.  Placeholders are kept."""
+    `Var`; any other must be in `constants`.  Placeholders are kept, and
+    appended to `holes` if given."""
     index = {name: len(binders) - 1 - i for i, name in enumerate(binders)}
 
     def resolve(term: Term, depth: int) -> Term:
         cls = term.__class__
+        if cls is Var:
+            return term
         if cls is Constant:
             name = term.name
             if name in index:
@@ -40,8 +43,10 @@ def elab_term(term: Term, binders: list, constants) -> Term:
                 raise UnboundIdentifierError(f"unbound identifier: {name}")
             return term
         if cls is Hole:
+            if holes is not None:
+                holes.append(term)
             return term
-        return S.map_subterms(term, lambda sub, binds: resolve(sub, depth + binds))
+        return S.map_subterms(term, resolve, depth)
 
     return resolve(term, 0)
 
@@ -72,17 +77,18 @@ def elaborate_and_check(decls, opaque=frozenset()):
     for decl in decls:
         t0 = time.perf_counter()
         try:
-            constants = scope.entries.keys()
+            constants, holes = scope.entries.keys(), []
             decl = Declaration(
-                decl.name, elab_term(decl.type, [], constants),
-                None if decl.body is None else elab_term(decl.body, [], constants),
+                decl.name, elab_term(decl.type, [], constants, holes),
+                None if decl.body is None else elab_term(decl.body, [], constants, holes),
                 opaque=decl.name in opaque,
             )
             entry = K.check_declaration(scope, decl)
-            decl = Declaration(
-                decl.name, _zonk(decl.type), None if decl.body is None else _zonk(decl.body),
-                opaque=decl.opaque,
-            )
+            if holes:
+                decl = Declaration(
+                    decl.name, _zonk(decl.type), None if decl.body is None else _zonk(decl.body),
+                    opaque=decl.opaque,
+                )
         except (ElabError, K.KernelError, S.MalformedTermError) as exc:
             if not isinstance(exc, K.DeclarationError):
                 exc = K.DeclarationError(decl.name, exc)

@@ -11,8 +11,9 @@ needed.  Conversion compares two glued neutrals with the same head by their
 spines before it unfolds them, and `whnf` unfolds wherever a value's shape is
 matched.  Quoting unfolds every transparent definition, so normal forms do not
 depend on the gluing; a normal form shares every repeated subterm, built once
-per call.  The hot paths dispatch on `__class__` with `is` tests, most
-frequent class first; no term or value class is subclassed.
+per call.  Evaluation, readback, conversion and the checker dispatch on
+`__class__` with `is` tests, most frequent class first; no term or value
+class is subclassed.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional, Union
 
 from . import syntax as S
 from .syntax import (
-    Annot, Apply, Constant, Declaration, Fst, Id, J, Lambda, Level, Pair, Pi,
-    Refl, Sigma, Snd, Star, Term, Unit, Universe, Var, MAX_LEVEL,
+    Annot, Apply, Constant, Declaration, Fst, Id, J, Lambda, Pair, Pi, Refl,
+    Sigma, Snd, Star, Term, Unit, Universe, Var, MAX_LEVEL,
 )
 
 
@@ -210,6 +211,7 @@ Value = Union[VUniverse, VPi, VLambda, VSigma, VPair, VUnit, VStar, VId, VRefl, 
 
 V_UNIT = VUnit()
 V_STAR = VStar()
+S_FST, S_SND = SFst(), SSnd()  # projections carry no data, so one of each serves every spine
 
 
 @dataclass(slots=True)
@@ -257,9 +259,10 @@ def evaluate(scope: GlobalScope, env: tuple, term: Term) -> Value:
         return VId(evaluate(scope, env, term.type), evaluate(scope, env, term.lhs),
                    evaluate(scope, env, term.rhs))
     if cls is Constant:
-        if term.name not in scope:
+        entry = scope.entries.get(term.name)
+        if entry is None:
             raise UnboundConstantError(f"unbound constant: {term.name}")
-        return scope[term.name].value
+        return entry.value
     if cls is Sigma:
         return VSigma(evaluate(scope, env, term.first), Closure(env, term.second, scope), term.hint)
     if cls is Universe:
@@ -337,7 +340,7 @@ def do_fst(p: Value) -> Value:
     if p.__class__ is VPair:
         return p.fst
     if p.__class__ is VNeutral:
-        return _extend(p, SFst())
+        return _extend(p, S_FST)
     raise KernelError(f"cannot project non-pair value {p!r}")
 
 
@@ -345,7 +348,7 @@ def do_snd(p: Value) -> Value:
     if p.__class__ is VPair:
         return p.snd
     if p.__class__ is VNeutral:
-        return _extend(p, SSnd())
+        return _extend(p, S_SND)
     raise KernelError(f"cannot project non-pair value {p!r}")
 
 
@@ -560,12 +563,13 @@ def convert_neutral(d: int, n1: VNeutral, n2: VNeutral, flex: bool = False) -> O
     if len(spine) != len(n2.spine):
         return None
     ty = head.type
-    prefix, built = neutral(head), 0
+    prefix, built = None, 0
     for i, (i1, i2) in enumerate(zip(spine, n2.spine)):
         cls, t = i1.__class__, whnf(ty)
         if cls is not i2.__class__:
             return None
         if cls is SSnd or cls is SJ:
+            prefix = prefix or neutral(head)
             for item in spine[built:i]:
                 prefix = _extend(prefix, item)
             built = i
@@ -629,10 +633,7 @@ class Checker:
         self.names = names or []  # printing hints, outermost first
         self.types = types or []  # Value types, outermost first
         self.env = tuple(env or ())
-
-    @property
-    def depth(self) -> int:
-        return len(self.types)
+        self.depth = len(self.types)
 
     def bind(self, hint: str, type_v: Value) -> "Checker":
         x = fresh(self.depth, type_v)
@@ -642,89 +643,88 @@ class Checker:
         return evaluate(self.scope, self.env, term)
 
     def infer(self, term: Term) -> Value:
-        match term:
-            case Var(ix):
-                if not (0 <= ix < self.depth):
-                    raise S.MalformedTermError(f"unbound variable index {ix}")
-                return self.types[self.depth - 1 - ix]
-            case Universe(Level(i)):
-                if i + 1 > MAX_LEVEL:
-                    raise UniverseOverflowError(
-                        f"U{i} has no type below the level ceiling {MAX_LEVEL}")
-                return VUniverse(i + 1)
-            case Pi(d, c, h):
-                i = self.infer_universe(d)
-                j = self.bind(h, self.eval(d)).infer_universe(c)
-                return VUniverse(max(i, j))
-            case Sigma(f, s, h):
-                i = self.infer_universe(f)
-                j = self.bind(h, self.eval(f)).infer_universe(s)
-                return VUniverse(max(i, j))
-            case Unit():
-                return VUniverse(0)
-            case Star():
-                return V_UNIT
-            case Id(t, l, r):
-                i = self.infer_universe(t)
-                tv = self.eval(t)
-                self.check(l, tv)
-                self.check(r, tv)
-                return VUniverse(i)
-            case Refl(p):
-                pt = self.infer(p)
-                pv = self.eval(p)
-                return VId(pt, pv, pv)
-            case Apply(f, a):
-                ft = self._infer_as(VPi, f, "cannot apply a term of non-function type")
-                self.check(a, ft.domain)
-                return ft.codomain.apply(delay(self.scope, self.env, a))
-            case Fst(p):
-                return self._infer_as(VSigma, p, "fst of a term of non-pair type").first
-            case Snd(p):
-                pt = self._infer_as(VSigma, p, "snd of a term of non-pair type")
-                return pt.second.apply(do_fst(self.eval(p)))
-            case J(m, b, l, r, pr, hints):
-                try:
-                    a_ty = self.infer(l)
-                except NoInferableTypeError:
-                    # endpoints may be eta-expanded pairs/lambdas; read the
-                    # type off the proof instead
-                    pr_ty = whnf(self.infer(pr))
-                    match pr_ty:
-                        case VId(ty, _, _):
-                            a_ty = ty
-                        case _:
-                            raise
-                    self.check(l, a_ty)
-                self.check(r, a_ty)
-                lv, rv = self.eval(l), self.eval(r)
-                self.check(pr, VId(a_ty, lv, rv))
-                hx, hy, hp, _ = hints
-                cx = self.bind(hx, a_ty)
-                cy = cx.bind(hy, a_ty)
-                x, y = cx.env[-1], cy.env[-1]
-                cp = cy.bind(hp, VId(a_ty, x, y))
-                cp.infer_universe(m)
-                motive = Closure(self.env, m, self.scope)
-                cb = self.bind(hx, a_ty)
-                bx = cb.env[-1]
-                cb.check(b, motive.apply(bx, bx, VRefl(bx)))
-                return motive.apply(lv, rv, self.eval(pr))
-            case Constant(name):
-                if name not in self.scope:
-                    raise UnboundConstantError(f"unbound constant: {name}")
-                return self.scope[name].type
-            case Annot(t, ty):
-                self.infer_universe(ty)
-                tv = self.eval(ty)
-                self.check(t, tv)
-                return tv
-            case Lambda() | Pair():
-                raise NoInferableTypeError(
-                    "cannot infer a type for an unannotated lambda or pair")
-            case S.Hole():
-                raise UnsolvablePlaceholderError(
-                    "placeholder in a position with no expected type")
+        cls = term.__class__
+        if cls is Var:
+            ix = term.ix
+            if not (0 <= ix < self.depth):
+                raise S.MalformedTermError(f"unbound variable index {ix}")
+            return self.types[self.depth - 1 - ix]
+        if cls is Apply:
+            ft = self._infer_as(VPi, term.fn, "cannot apply a term of non-function type")
+            self.check(term.arg, ft.domain)
+            return ft.codomain.apply(delay(self.scope, self.env, term.arg))
+        if cls is Constant:
+            entry = self.scope.entries.get(term.name)
+            if entry is None:
+                raise UnboundConstantError(f"unbound constant: {term.name}")
+            return entry.type
+        if cls is Pi or cls is Sigma:
+            first, second = (term.domain, term.codomain) if cls is Pi else (term.first, term.second)
+            i = self.infer_universe(first)
+            j = self.bind(term.hint, self.eval(first)).infer_universe(second)
+            return VUniverse(max(i, j))
+        if cls is Fst:
+            return self._infer_as(VSigma, term.pair, "fst of a term of non-pair type").first
+        if cls is Universe:
+            i = term.level.index
+            if i + 1 > MAX_LEVEL:
+                raise UniverseOverflowError(
+                    f"U{i} has no type below the level ceiling {MAX_LEVEL}")
+            return VUniverse(i + 1)
+        if cls is Id:
+            i = self.infer_universe(term.type)
+            tv = self.eval(term.type)
+            self.check(term.lhs, tv)
+            self.check(term.rhs, tv)
+            return VUniverse(i)
+        if cls is Snd:
+            pt = self._infer_as(VSigma, term.pair, "snd of a term of non-pair type")
+            return pt.second.apply(do_fst(self.eval(term.pair)))
+        if cls is Unit:
+            return VUniverse(0)
+        if cls is J:
+            m, b, l, r, pr = term.motive, term.base, term.lhs, term.rhs, term.proof
+            try:
+                a_ty = self.infer(l)
+            except NoInferableTypeError:
+                # endpoints may be eta-expanded pairs/lambdas; read the type
+                # off the proof instead
+                pr_ty = whnf(self.infer(pr))
+                if pr_ty.__class__ is not VId:
+                    raise
+                a_ty = pr_ty.type
+                self.check(l, a_ty)
+            self.check(r, a_ty)
+            lv, rv = self.eval(l), self.eval(r)
+            self.check(pr, VId(a_ty, lv, rv))
+            hx, hy, hp, _ = term.hints
+            cx = self.bind(hx, a_ty)
+            cy = cx.bind(hy, a_ty)
+            x, y = cx.env[-1], cy.env[-1]
+            cp = cy.bind(hp, VId(a_ty, x, y))
+            cp.infer_universe(m)
+            motive = Closure(self.env, m, self.scope)
+            cb = self.bind(hx, a_ty)
+            bx = cb.env[-1]
+            cb.check(b, motive.apply(bx, bx, VRefl(bx)))
+            return motive.apply(lv, rv, self.eval(pr))
+        if cls is Star:
+            return V_UNIT
+        if cls is Refl:
+            pt = self.infer(term.point)
+            pv = self.eval(term.point)
+            return VId(pt, pv, pv)
+        if cls is Annot:
+            self.infer_universe(term.type)
+            tv = self.eval(term.type)
+            self.check(term.term, tv)
+            return tv
+        if cls is Lambda or cls is Pair:
+            raise NoInferableTypeError(
+                "cannot infer a type for an unannotated lambda or pair")
+        if cls is S.Hole:
+            raise UnsolvablePlaceholderError(
+                "placeholder in a position with no expected type")
         raise S.MalformedTermError(f"not a term: {term!r}")
 
     def _infer_as(self, cls, term: Term, what: str) -> Value:
@@ -743,55 +743,55 @@ class Checker:
     def solve_placeholder(self, type_v: Value, d: int = None) -> Term:
         """Inhabit a definitional singleton type; the solution is closed."""
         d = self.depth if d is None else d
-        match whnf(type_v):
-            case VUnit():
-                return S.STAR
-            case VSigma(first, second, _):
-                a = self.solve_placeholder(first, d)
-                av = evaluate(self.scope, (), a)
-                return Pair(a, self.solve_placeholder(second.apply(av), d))
-            case VPi(dom, cod, h):
-                body = self.solve_placeholder(cod.apply(fresh(d, dom)), d + 1)
-                return Lambda(body, h if h != "_" else "x")
+        ty = whnf(type_v)
+        cls = ty.__class__
+        if cls is VUnit:
+            return S.STAR
+        if cls is VSigma:
+            a = self.solve_placeholder(ty.first, d)
+            av = evaluate(self.scope, (), a)
+            return Pair(a, self.solve_placeholder(ty.second.apply(av), d))
+        if cls is VPi:
+            body = self.solve_placeholder(ty.codomain.apply(fresh(d, ty.domain)), d + 1)
+            return Lambda(body, ty.hint if ty.hint != "_" else "x")
         raise UnsolvablePlaceholderError(
             "placeholder not determined by its expected type "
             + S.pretty_print(quote_type(d, type_v, {}), self.names + ["?"] * (d - self.depth)))
 
     def check(self, term: Term, type_v: Value):
-        match term, whnf(type_v):
-            case S.Hole(), _:
-                term.solution = self.solve_placeholder(type_v)
-                return
-            case Lambda(b, h), VPi(dom, cod, ph):
-                inner = self.bind(h if h != "x" else ph, dom)
-                inner.check(b, cod.apply(inner.env[-1]))
-                return
-            case Lambda(), _:
+        ty = whnf(type_v)
+        cls = term.__class__
+        if cls is Lambda:
+            if ty.__class__ is not VPi:
                 raise KernelError(
                     "a lambda only checks against a function type, not " + self._show(type_v))
-            case Pair(a, b), VSigma(first, second, _):
-                self.check(a, first)
-                self.check(b, second.apply(delay(self.scope, self.env, a)))
-                return
-            case Pair(), _:
+            h = term.hint
+            inner = self.bind(h if h != "x" else ty.hint, ty.domain)
+            inner.check(term.body, ty.codomain.apply(inner.env[-1]))
+        elif cls is Pair:
+            if ty.__class__ is not VSigma:
                 raise KernelError(
                     "a pair only checks against a pair type, not " + self._show(type_v))
-            case Refl(p), VId(ty, lhs, rhs):
-                # lets the point be a pair or lambda, which cannot infer
-                self.check(p, ty)
-                pv = self.eval(p)
-                if not (convert(self.depth, pv, lhs, ty)
-                        and convert(self.depth, pv, rhs, ty)):
-                    raise TypeMismatchError(
-                        quote_type(self.depth, type_v, {}),
-                        quote_type(self.depth, VId(ty, pv, pv), {}), self.names)
-                return
-            case _:
-                inferred = self.infer(term)
-                if not subtype(self.depth, inferred, type_v):
-                    raise TypeMismatchError(
-                        quote_type(self.depth, type_v, {}),
-                        quote_type(self.depth, inferred, {}), self.names)
+            self.check(term.fst, ty.first)
+            self.check(term.snd, ty.second.apply(delay(self.scope, self.env, term.fst)))
+        elif cls is Refl and ty.__class__ is VId:
+            # lets the point be a pair or lambda, which cannot infer
+            p = term.point
+            self.check(p, ty.type)
+            pv = self.eval(p)
+            if not (convert(self.depth, pv, ty.lhs, ty.type)
+                    and convert(self.depth, pv, ty.rhs, ty.type)):
+                raise TypeMismatchError(
+                    quote_type(self.depth, type_v, {}),
+                    quote_type(self.depth, VId(ty.type, pv, pv), {}), self.names)
+        elif cls is S.Hole:
+            term.solution = self.solve_placeholder(type_v)
+        else:
+            inferred = self.infer(term)
+            if not subtype(self.depth, inferred, type_v):
+                raise TypeMismatchError(
+                    quote_type(self.depth, type_v, {}),
+                    quote_type(self.depth, inferred, {}), self.names)
 
 
 def _context_checker(scope: GlobalScope, ctx) -> Checker:

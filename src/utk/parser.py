@@ -11,7 +11,10 @@
               | "Id" atom atom atom | "J" atom atom atom atom atom | atom
     atom    ::= IDENT | "_" | "U" NAT | "1" | "*" | "(" term ")" | "(" term "," term ")"
 
-Comments run from `--` to end of line.
+Comments run from `--` to end of line.  The tokenizer makes one regular
+expression match per token, whitespace and comments included, and a token
+keeps only its offset: a line and column are computed from it on demand, for
+an error or a placeholder.
 
 A name bound by an enclosing binder becomes its de Bruijn `Var`; every other
 name is left as a `Constant`, which the elaborator resolves against the
@@ -22,7 +25,7 @@ a placeholder `Hole` as a term, and a binder that is never referenced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from pathlib import Path
 
 from . import syntax as S
@@ -45,89 +48,78 @@ class DuplicateNameError(ParseError):
 
 # Tokenizer -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>--[^\n]*)
-  | (?P<nl>\n)
-  | (?P<assign>:=)
-  | (?P<arrow>->)
-  | (?P<uni>U[0-9]+)
-  | (?P<one>1(?![0-9A-Za-z_']))
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<sym>[():,*\\])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass
-class Token:
-    kind: str  # "ident", "uni", "sym"; symbols use their text as kind
-    text: str
-    line: int
-    col: int
+# One match per token, which skips the whitespace and comments before it
+# (possessively: a failed token never backtracks into them).  The group that
+# matched gives the kind; the last match is the empty one at the end.
+_TOKEN_RE = re.compile(r"""(?: [ \t\r\n]++ | --[^\n]*+ )*+ (?:
+      (:= | -> | [():,*\\]) | (U[0-9]+) | (1(?![0-9A-Za-z_']))  # 1: symbol, 2: uni, 3: one
+    | ([A-Za-z_][A-Za-z0-9_']*)  # 4: an identifier, a keyword or `_`
+    | (.) | \Z)  # 5: an unexpected character; then the end""", re.VERBOSE)
+_WORDS = S.KEYWORDS | {"_"}  # the words of group 4 that are their own kind
 
 
 def tokenize(source: str):
+    """The tokens of `source`, each a (kind, text, offset) triple, ending in
+    one `eof`.  Kinds are "ident", "uni", "one" and "eof"; any other token is
+    its own kind.  Identifiers are interned: each name is one string."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            if kind == "ident" and text in S.KEYWORDS:
-                tokens.append(Token(text, text, line, col))
-            elif kind == "ident" and text == "_":
-                tokens.append(Token("_", text, line, col))
-            elif kind in ("assign", "arrow", "sym"):
-                tokens.append(Token(text, text, line, col))
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastindex
+        if group is None:
+            break
+        text = m[group]
+        if group == 4:
+            if text in _WORDS:
+                kind = text
             else:
-                tokens.append(Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+                kind, text = "ident", sys.intern(text)
+        elif group == 1:
+            kind = text
+        elif group == 5:
+            raise ParseError(f"unexpected character {text!r}", *position(source, m.start(5)))
+        else:
+            kind = "uni" if group == 2 else "one"
+        append((kind, text, m.start(group)))
+    append(("eof", "", len(source)))
     return tokens
+
+
+def position(source: str, offset: int):
+    """The line and column of `offset` in `source`, both from 1: computed
+    only for an error or a placeholder, which report them."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 # Parser --------------------------------------------------------------------
 
-_ATOM_STARTERS = {"ident", "_", "uni", "one", "(", "*"}
+_ATOM_STARTERS = frozenset({"ident", "_", "uni", "one", "(", "*"})
+_BINDER_NAMES = frozenset({"ident", "_"})
+_HEAD_WORDS = frozenset({"fst", "snd", "refl", "Id", "J"})
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Reads `tokens[pos][0]`, the kind of the current token, wherever it
+    looks ahead; two more `eof`s let it look two tokens ahead unchecked."""
+
+    def __init__(self, source: str):
+        self.source = source
+        tokens = tokenize(source)
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
         self.names = []  # the enclosing binders, innermost last
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, message: str, tok: tuple = None) -> ParseError:
+        """The error at `tok`, by default the current token."""
+        tok = tok or self.tokens[self.pos]
+        return ParseError(message, *position(self.source, tok[2]))
 
-    def next(self) -> Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        if tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}")
+        self.pos += 1
         return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
-        return self.next()
-
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
 
     def bound(self, name: str) -> Term:
         """A term parsed under one more binder, `name`."""
@@ -141,137 +133,136 @@ class _Parser:
     def program(self):
         decls = []
         seen = set()
-        while self.peek().kind != "eof":
+        while self.tokens[self.pos][0] != "eof":
             name, decl = self.decl()
             if decl.name in seen:
                 raise DuplicateNameError(
-                    f"duplicate name {decl.name!r}", name.line, name.col)
+                    f"duplicate name {decl.name!r}", *position(self.source, name[2]))
             seen.add(decl.name)
             decls.append(decl)
         return decls
 
     def decl(self):
         """The name token and the declaration."""
-        tok = self.peek()
-        if tok.kind not in ("def", "postulate"):
-            self.error("expected 'def' or 'postulate'")
-        self.next()
+        kind = self.tokens[self.pos][0]
+        if kind != "def" and kind != "postulate":
+            raise self.error("expected 'def' or 'postulate'")
+        self.pos += 1
         name = self.expect("ident")
         self.expect(":")
         ty = self.term()
         body = None
-        if tok.kind == "def":
+        if kind == "def":
             self.expect(":=")
             body = self.term()
-        return name, Declaration(name.text, ty, body)
+        return name, Declaration(name[1], ty, body)
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "\\":
-            self.next()
+        tokens = self.tokens
+        kind = tokens[self.pos][0]
+        if kind == "\\":
+            self.pos += 1
             names = self.names
             k = len(names)
-            while self.peek().kind in ("ident", "_"):
-                names.append(self.next().text)
+            while tokens[self.pos][0] in _BINDER_NAMES:
+                names.append(tokens[self.pos][1])
+                self.pos += 1
             if len(names) == k:
-                self.error("expected at least one binder after '\\'")
+                raise self.error("expected at least one binder after '\\'")
             self.expect("->")
             body = self.term()
             for hint in reversed(names[k:]):
                 body = Lambda(body, hint)
             del names[k:]
             return body
-        if self._at_binder():
-            self.next()
-            binder = self.next().text
-            self.expect(":")
+        if kind == "(" and self._at_binder():
+            binder = tokens[self.pos + 1][1]
+            self.pos += 3
             dom = self.term()
             self.expect(")")
-            sep = self.peek().kind
-            if sep not in ("->", "*"):
-                self.error("expected '->' or '*' after a binder")
-            self.next()
+            sep = tokens[self.pos][0]
+            if sep != "->" and sep != "*":
+                raise self.error("expected '->' or '*' after a binder")
+            self.pos += 1
             return (Pi if sep == "->" else Sigma)(dom, self.bound(binder), binder)
         lhs = self.app()
-        if self.peek().kind == "->":
-            self.next()
+        if tokens[self.pos][0] == "->":
+            self.pos += 1
             return Pi(lhs, self.bound("_"), "_")
         return lhs
 
     def app(self) -> Term:
         head = self.head()
-        while self.peek().kind in _ATOM_STARTERS and not self._at_binder():
+        tokens = self.tokens
+        while True:
+            kind = tokens[self.pos][0]
+            if kind not in _ATOM_STARTERS or kind == "(" and self._at_binder():
+                return head
             head = Apply(head, self.atom())
-        return head
 
     def _at_binder(self) -> bool:
-        # `(x : ...` after an application head belongs to an enclosing arrow
-        return (
-            self.peek().kind == "("
-            and self.peek(1).kind in ("ident", "_")
-            and self.peek(2).kind == ":"
-        )
+        """Whether the current `(` opens `(x : ...`, which after an
+        application head belongs to an enclosing arrow."""
+        tokens, pos = self.tokens, self.pos
+        return tokens[pos + 1][0] in _BINDER_NAMES and tokens[pos + 2][0] == ":"
 
     def head(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "fst":
-            self.next()
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind not in _HEAD_WORDS:
+            return self.atom()
+        self.pos += 1
+        if kind == "fst":
             return Fst(self.atom())
-        if tok.kind == "snd":
-            self.next()
+        if kind == "snd":
             return Snd(self.atom())
-        if tok.kind == "refl":
-            self.next()
+        if kind == "refl":
             return Refl(self.atom())
-        if tok.kind == "Id":
-            self.next()
+        if kind == "Id":
             return Id(self.atom(), self.atom(), self.atom())
-        if tok.kind == "J":
-            self.next()
-            motive, base = self.atom(), self.atom()
-            try:
-                motive, mhints = _strip_binders(motive, 3)
-                base, bhints = _strip_binders(base, 1)
-            except S.MalformedTermError as exc:  # a placeholder cannot be shifted
-                raise ParseError(str(exc), tok.line, tok.col) from None
-            return J(motive, base, self.atom(), self.atom(), self.atom(), mhints + bhints)
-        return self.atom()
+        motive, base = self.atom(), self.atom()  # J
+        try:
+            motive, mhints = _strip_binders(motive, 3)
+            base, bhints = _strip_binders(base, 1)
+        except S.MalformedTermError as exc:  # a placeholder cannot be shifted
+            raise self.error(str(exc), tok) from None
+        return J(motive, base, self.atom(), self.atom(), self.atom(), mhints + bhints)
 
     def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            names = self.names
-            for i in range(len(names) - 1, -1, -1):
-                if names[i] == tok.text:
-                    return S.var(len(names) - 1 - i)
-            return Constant(tok.text)
-        if tok.kind == "_":
-            self.next()
-            return Hole(tok.line, tok.col)
-        if tok.kind == "uni":
-            self.next()
-            try:
-                return S.universe(int(tok.text[1:]))
-            except S.MalformedTermError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
-        if tok.kind == "one":
-            self.next()
-            return S.UNIT
-        if tok.kind == "*":
-            self.next()
-            return S.STAR
-        if tok.kind == "(":
-            self.next()
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "ident":
+            self.pos += 1
+            name = tok[1]
+            if name in self.names:  # bound: its index counts binders from the innermost
+                return S.var(self.names[::-1].index(name))
+            return Constant(name)
+        if kind == "(":
+            self.pos += 1
             inner = self.term()
-            if self.peek().kind == ",":
-                self.next()
+            if self.tokens[self.pos][0] == ",":
+                self.pos += 1
                 snd = self.term()
                 self.expect(")")
                 return Pair(inner, snd)
             self.expect(")")
             return inner
-        self.error(f"unexpected token {tok.text!r}")
+        if kind == "_":
+            self.pos += 1
+            return Hole(*position(self.source, tok[2]))
+        if kind == "uni":
+            self.pos += 1
+            try:
+                return S.universe(int(tok[1][1:]))
+            except S.MalformedTermError as exc:
+                raise self.error(str(exc), tok) from None
+        if kind == "one":
+            self.pos += 1
+            return S.UNIT
+        if kind == "*":
+            self.pos += 1
+            return S.STAR
+        raise self.error(f"unexpected token {tok[1]!r}")
 
 
 def _strip_binders(term: Term, n: int):
@@ -293,7 +284,7 @@ def _strip_binders(term: Term, n: int):
 
 def parse_program(source: str):
     """Parse a whole source file into declarations, in order."""
-    return _Parser(tokenize(source)).program()
+    return _Parser(source).program()
 
 
 def parse_files(paths) -> list:
@@ -303,9 +294,9 @@ def parse_files(paths) -> list:
 
 def parse_term(source: str) -> Term:
     """Parse one term; its free names are `Constant`s."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     term = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    tok = parser.tokens[parser.pos]
+    if tok[0] != "eof":
+        raise parser.error(f"trailing input {tok[1]!r}")
     return term

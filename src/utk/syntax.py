@@ -236,13 +236,14 @@ def _fields(term) -> tuple:
     raise MalformedTermError(f"not a term: {term!r}")
 
 
-def map_subterms(term: Term, fn) -> Term:
+def map_subterms(term: Term, fn, depth: int = 0) -> Term:
     """`term` with each subterm `t` that binds `k` variables replaced by
-    `fn(t, k)`; `term` itself when every replacement is the subterm itself."""
+    `fn(t, depth + k)`; `term` itself when every replacement is the subterm
+    itself."""
     changed = {}
-    for name, binds in _fields(term):
+    for name, binds in SUBTERMS.get(term.__class__) or _fields(term):
         old = getattr(term, name)
-        new = fn(old, binds)
+        new = fn(old, depth + binds)
         if new is not old:
             changed[name] = new
     return dataclasses.replace(term, **changed) if changed else term
@@ -282,7 +283,7 @@ def shift(term: Term, by: int, cutoff: int = 0) -> Term:
     """Shift free variables at or above `cutoff` by `by`."""
     if isinstance(term, Var):
         return var(term.ix + by) if term.ix >= cutoff else term
-    return map_subterms(term, lambda sub, binds: shift(sub, by, cutoff + binds))
+    return map_subterms(term, lambda sub, c: shift(sub, by, c), cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from utk import corpuscheck as C
 from utk import elab as E
 from utk import kernel as K
 from utk import parser as P
@@ -173,3 +176,116 @@ def test_elaborate_outputs_validate():
             assert S.validate(d.body, 0)
     # accepted by a fresh check_program run
     K.check_program(decls)
+
+
+# The SHA-256 of each corpus file's (kind, text, line, col) token stream, and
+# the exact messages of malformed inputs: positions computed from offsets on
+# demand must equal those of a tokenizer that counts lines and columns as it
+# goes, which produced these values.
+CORPUS_TOKEN_DIGESTS = {
+    "prelude.tt": "c699b00f9e809a99269c349a2bd5d3424df2cb95f0ac43757a71907fc877189b",
+    "funext_equiv.tt": "7a068c59b5906ec89c50cce2e00163793ba25464be82c52060b07debaa15a09c",
+    "univalence.tt": "0db5a4900a1308ab09f0a150fa9367da3f149bf8f998a0e0e539b72a2f61b67e",
+    "decompose.tt": "17692a627aa43ccb9873c3e133c5db8428b1d6dc01fc17784d9ba170debe63e8",
+    "axioms.tt": "3d3965fc386cf10ff471b1c767d88cf1ddd8bff55bfb5b802fa182de68a633e2",
+    "ua.tt": "256c7fe7573aa54c6b6e708fe62cbefe311f1c007065cf99316bb3337ba949a6",
+}
+
+
+def test_corpus_token_streams_are_pinned():
+    directory = C.corpus_dir()
+    digests = {}
+    for name in C._lines(directory / "MANIFEST"):
+        source = (directory / name).read_text()
+        h = hashlib.sha256()
+        for kind, text, offset in P.tokenize(source):
+            h.update(repr((kind, text, *P.position(source, offset))).encode())
+        digests[name] = h.hexdigest()
+    assert digests == CORPUS_TOKEN_DIGESTS
+
+
+MALFORMED = [
+    # a comment line
+    (P.parse_program, "-- a comment line\n  def a : U1 := U0 )", "2:20: expected 'def' or 'postulate'"),
+    (P.parse_term, "-- c\n\tJ (f\r\n  _) b x y p", "2:2: not a term: Hole(line=3, col=3, solution=None)"),
+    # a tab counts one column
+    (P.parse_program, "def a :\tU1 :=\t\t$", "1:16: unexpected character '$'"),
+    (P.parse_program, "def a : U1 := U0\r\n\r\n\tdef", "3:5: expected 'ident', found ''"),
+    # `\r\n`: the `\r` ends no line, and a lone `\r` counts one column
+    (P.parse_program, "def a : U1 := U0\r\ndef b : U1 := \r\n  %", "3:3: unexpected character '%'"),
+    (P.parse_program, "def a : U1 :=\r  %", "1:17: unexpected character '%'"),
+    # end of input, after whitespace or a comment
+    (P.parse_program, "def a : U1 :=\n  ", "2:3: unexpected token ''"),
+    (P.parse_program, "def a : U1 :=  -- c\n\n \t", "3:3: unexpected token ''"),
+    (P.parse_term, "(U0", "1:4: expected ')', found ''"),
+    (P.parse_term, "(U0 -- c", "1:9: expected ')', found ''"),
+    (P.parse_term, "\\x -> x )", "1:9: trailing input ')'"),
+    # an unexpected character
+    (P.parse_program, "def a : U1 := U0 ?", "1:18: unexpected character '?'"),
+    (P.parse_program, "def a : U1 := 12", "1:15: unexpected character '1'"),
+    # positions of other errors
+    (P.parse_program, "def a : U1 := U9", "1:15: universe level 9 out of range 0..4"),
+    (P.parse_program, "def a : U1 := U0\n\n def a : U1 := U0", "3:6: duplicate name 'a'"),
+    (P.parse_program, "def a : U1 := \\ -> U0", "1:17: expected at least one binder after '\\'"),
+    (P.parse_program, "def a : U1 := (x : U0) U0", "1:24: expected '->' or '*' after a binder"),
+    # a `_` that nothing solves
+    (P.parse_term, "J (f _) b x y p", "1:1: not a term: Hole(line=1, col=6, solution=None)"),
+    (lambda src: E.elaborate(P.parse_program(src)), "def u : U0 -> U0 := \\A -> _",
+     "u: placeholder not determined by its expected type U0"),
+]
+
+
+@pytest.mark.parametrize("parse, source, message", MALFORMED)
+def test_malformed_input_messages(parse, source, message):
+    with pytest.raises((P.ParseError, K.DeclarationError)) as e:
+        parse(source)
+    assert str(e.value) == message
+
+
+def test_trailing_comment_and_whitespace_end_cleanly():
+    assert P.tokenize("U0 -- c")[-1] == ("eof", "", 7)
+    assert len(P.parse_program("def a : U1 := U0 -- c\n\n  \t")) == 1
+
+
+def test_one_string_per_identifier():
+    decls = P.parse_program("postulate Alpha : U0\ndef f : Alpha -> Alpha := \\x -> x")
+    ty = decls[1].type
+    assert ty.domain.name is ty.codomain.name is decls[0].name
+    assert P.parse_term("Alpha").name is decls[0].name
+
+
+HOLED_AND_HOLE_FREE = "def u : (_ : 1) * 1 := (*, _)\ndef v : (A : U0) -> A -> A := \\A a -> a"
+
+
+def zonked_terms(monkeypatch) -> list:
+    """The terms `_zonk` is called with from now on."""
+    calls, zonk = [], E._zonk
+
+    def spy(term):
+        calls.append(term)
+        return zonk(term)
+    monkeypatch.setattr(E, "_zonk", spy)
+    return calls
+
+
+def has_hole(term) -> bool:
+    return isinstance(term, S.Hole) or any(
+        has_hole(getattr(term, name)) for name, _ in S.SUBTERMS.get(type(term), ()))
+
+
+def test_a_hole_free_declaration_is_not_zonked(monkeypatch):
+    calls = zonked_terms(monkeypatch)
+    parsed = P.parse_program(HOLED_AND_HOLE_FREE)
+    decls = E.elaborate(parsed)
+    assert decls[1].type is parsed[1].type and decls[1].body is parsed[1].body
+    assert calls and not any(t is parsed[1].type or t is parsed[1].body for t in calls)
+
+
+def test_a_solved_hole_is_zonked_away(monkeypatch):
+    calls = zonked_terms(monkeypatch)
+    parsed = P.parse_program(HOLED_AND_HOLE_FREE)
+    decls = E.elaborate(parsed)
+    assert has_hole(parsed[0].body) and not has_hole(decls[0].body)
+    assert decls[0].body == Pair(Star(), Star())
+    assert {id(t) for t in calls} >= {id(parsed[0].type), id(parsed[0].body)}
+    assert not any(t is parsed[1].body for t in calls)
