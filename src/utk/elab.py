@@ -89,12 +89,12 @@ def elaborate_and_check(decls, opaque=frozenset()):
                     decl.name, _zonk(decl.type), None if decl.body is None else _zonk(decl.body),
                     opaque=decl.opaque,
                 )
+            scope.add(decl.name, entry)  # a name declared in an earlier file fails here
         except (ElabError, K.KernelError, S.MalformedTermError) as exc:
             if not isinstance(exc, K.DeclarationError):
                 exc = K.DeclarationError(decl.name, exc)
             report.add_error(decl.name, str(exc.cause), time.perf_counter() - t0)
             return core, scope, report, exc
-        scope.add(decl.name, entry)
         core.append(decl)
         report.add_ok(decl.name, time.perf_counter() - t0)
     return core, scope, report, None

@@ -2,8 +2,8 @@
 
 Everything here manipulates fibrations over a fixed base and produces new
 fibrations whose defining equations (endpoint reindexings, restriction
-equations) hold as equalities of finite data; the self-test checks them
-exhaustively on the fixture library.
+equations) hold as equalities of finite data; the self-test checks them on
+the fixture library, over sampled stages, maps and problems (see `selftest`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .cset import (
     pairing_map,
 )
 from .fib import (
-    CompositionError, Fib, Problem, clause_path, clause_stage, comp_unit,
+    CompositionError, Fib, Problem, clause_path, clause_stage, discrete_fib,
     fill, fill_path, partial_at, path_at, restrict_problem, _fresh_dim,
 )
 
@@ -81,7 +81,7 @@ def reindex_fib(fib: Fib, gamma: CSetMap) -> Fib:
 
 def endpoint_reindex(path_fib: Fib, base: CubicalSet, endpoint: int) -> Fib:
     """Reindex a fibration over base*I along <id, endpoint>."""
-    return reindex_fib(path_fib, pairing_map(base, path_fib.base, endpoint))
+    return reindex_fib(path_fib, pairing_map(base, endpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +156,6 @@ class StrictifiedFamily(Family):
             return self.partial.fiber(context, rho)
         return self.total.fiber(context, rho)
 
-    def contains(self, context, rho, a):
-        if self.cof.holds(context, rho):
-            return self.partial.contains(context, rho, a)
-        return self.total.contains(context, rho, a)
-
     def restrict(self, rho, f, x):
         if self.cof.holds(f.src, rho):
             return self.partial.restrict(rho, f, x)
@@ -225,9 +220,6 @@ class VeebarFamily(Family):
 
     def fiber(self, context, rho):
         return self.sides[_side(rho)].fiber(context, rho[0])
-
-    def contains(self, context, rho, a):
-        return self.sides[_side(rho)].contains(context, rho[0], a)
 
     def restrict(self, rho, f, a):
         return self.sides[_side(rho)].restrict(rho[0], f, a)
@@ -445,7 +437,7 @@ def contract_path(A: Fib, contr: ContrStruct) -> FibPath:
     """The path from a contractible fibration to the unit: improve the
     contraction C_A along the evident endpoint isomorphisms."""
     cfib = contraction_fib(A, extend_from_contractible(A, contr))
-    unit = comp_unit(A.base)
+    unit = discrete_fib(A.base, ["*"])
     family = cfib.family
 
     def iso0_fwd(I, x, a):

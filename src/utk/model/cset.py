@@ -151,16 +151,6 @@ class CubicalSet:
         raise NotImplementedError
 
 
-class PointCSet(CubicalSet):
-    def cells(self, context):
-        return ["pt"]
-
-    def restrict(self, f, x):
-        if x != "pt":
-            raise ElementNotInObjectError(f"{x!r} not a point cell")
-        return "pt"
-
-
 class DiscreteCSet(CubicalSet):
     """Constant presheaf on a finite set of labels."""
 
@@ -282,10 +272,11 @@ class Family:
         self.base = base
 
     def fiber(self, context: frozenset, rho) -> list:
+        """The elements over (context, rho).  Membership is `a in fiber`,
+        which is exact up to two dimensions, where every family lists its
+        whole fiber; the boundary checks ask it only at a problem's stage,
+        which has at most two."""
         raise NotImplementedError
-
-    def contains(self, context: frozenset, rho, a) -> bool:
-        return a in self.fiber(context, rho)
 
     def sample_fiber(self, context: frozenset, rho) -> list:
         """Elements used when enumerating composition problems; families
@@ -312,18 +303,11 @@ class ConstantFamily(Family):
         return a
 
 
-class UnitFamily(Family):
-    def fiber(self, context, rho):
-        return ["*"]
-
-    def restrict(self, rho, f, a):
-        return "*"
-
-
 class IntervalFamily(Family):
-    """Fiberwise copy of the interval: A(I, rho) = dm(I).  Beyond two
-    dimensions the fiber listing samples the basic elements, and problem
-    enumeration samples them beyond one; membership stays exact."""
+    """Fiberwise copy of the interval: A(I, rho) = dm(I).  Up to two
+    dimensions the fiber is the whole free algebra (2, 6 and 168 elements);
+    beyond, the fiber listing samples the basic elements, and problem
+    enumeration samples them beyond one."""
 
     def fiber(self, context, rho):
         if len(context) > 2:
@@ -332,9 +316,6 @@ class IntervalFamily(Family):
 
     def sample_fiber(self, context, rho):
         return list(sample_dm(context))
-
-    def contains(self, context, rho, a):
-        return isinstance(a, DM) and a.ctx == context
 
     def restrict(self, rho, f, a):
         return f.apply_dm(a)
@@ -371,9 +352,6 @@ class ReindexedFamily(Family):
     def fiber(self, context, rho):
         return self.family.fiber(context, self.gamma.apply(context, rho))
 
-    def contains(self, context, rho, a):
-        return self.family.contains(context, self.gamma.apply(context, rho), a)
-
     def restrict(self, rho, f, a):
         return self.family.restrict(self.gamma.apply(f.src, rho), f, a)
 
@@ -381,9 +359,8 @@ class ReindexedFamily(Family):
 class CSetMap:
     """A natural map of cubical sets."""
 
-    def __init__(self, src: CubicalSet, dst: CubicalSet, fn, name="map"):
+    def __init__(self, src: CubicalSet, fn, name="map"):
         self.src = src
-        self.dst = dst
         self.fn = fn
         self.name = name
 
@@ -391,18 +368,18 @@ class CSetMap:
         return self.fn(context, x)
 
 
-def pairing_map(base: CubicalSet, product: ProductIntervalCSet,
-                endpoint: int) -> CSetMap:
+def pairing_map(base: CubicalSet, endpoint: int) -> CSetMap:
     """<id, e> : base -> base * I at a constant endpoint."""
-    return CSetMap(base, product, lambda c, x: (x, dm_const(c, endpoint)))
+    return CSetMap(base, lambda c, x: (x, dm_const(c, endpoint)))
 
 
 def fst_map(product: ProductIntervalCSet) -> CSetMap:
-    return CSetMap(product, product.base, lambda c, x: x[0])
+    return CSetMap(product, lambda c, x: x[0])
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive functor law checking
+# Functor law checking on samples: at most `max_points` points per stage (24
+# by default) and `max_pairs` map pairs per context triple (600 by default)
 
 
 def enumerate_contexts(max_dim: int) -> list:

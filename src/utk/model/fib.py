@@ -17,7 +17,7 @@ from .interval import (
     face_of_eq, face_or, face_subst_clause, face_weaken,
 )
 from .cset import (
-    CubeMap, CubicalSet, Family, SigmaFamily, TotalCSet, UnitFamily,
+    ConstantFamily, CubeMap, CubicalSet, Family, SigmaFamily, TotalCSet,
     extend_clause_map,
 )
 
@@ -94,35 +94,29 @@ def partial_end(family: Family, problem: Problem, clause: frozenset,
     return family.restrict(clause_path(family.base, problem, clause), emap, value)
 
 
+def _end_violations(fib: Fib, problem: Problem, endpoint: int, a):
+    """Violations of a as an element at the path's end `endpoint`: it must
+    lie in that fiber and extend the partial path there."""
+    end = path_at(fib.base, problem, endpoint)
+    if a not in fib.family.fiber(problem.I, end):
+        yield ("fiber", a)
+    for clause in problem.phi.clauses():
+        g = CubeMap.face(problem.I, clause)
+        got = fib.family.restrict(end, g, a)
+        want = partial_end(fib.family, problem, clause, endpoint)
+        if got != want:
+            yield ("boundary", clause, got, want)
+
+
 def check_boundary(fib: Fib, problem: Problem, result) -> list:
     """Violations of the boundary condition: the result must lie in the far
     fiber and extend the partial path there."""
-    violations = []
-    far = 1 - problem.e
-    end = path_at(fib.base, problem, far)
-    if not fib.family.contains(problem.I, end, result):
-        violations.append(("fiber", result))
-    for clause in problem.phi.clauses():
-        g = CubeMap.face(problem.I, clause)
-        got = fib.family.restrict(end, g, result)
-        want = partial_end(fib.family, problem, clause, far)
-        if got != want:
-            violations.append(("boundary", clause, got, want))
-    return violations
+    return list(_end_violations(fib, problem, 1 - problem.e, result))
 
 
 def check_start_agreement(fib: Fib, problem: Problem) -> bool:
     """Precondition of a problem: a0 agrees with the partial path at e."""
-    start = path_at(fib.base, problem, problem.e)
-    if not fib.family.contains(problem.I, start, problem.a0):
-        return False
-    for clause in problem.phi.clauses():
-        g = CubeMap.face(problem.I, clause)
-        got = fib.family.restrict(start, g, problem.a0)
-        want = partial_end(fib.family, problem, clause, problem.e)
-        if got != want:
-            return False
-    return True
+    return next(_end_violations(fib, problem, problem.e, problem.a0), None) is None
 
 
 def restrict_problem(family: Family, problem: Problem,
@@ -151,9 +145,8 @@ def comp_discrete(problem: Problem):
     return problem.a0
 
 
-def comp_unit(base: CubicalSet) -> Fib:
-    """The constant unit family with its unique composition structure."""
-    return Fib(UnitFamily(base), lambda problem: "*")
+def discrete_fib(base: CubicalSet, labels) -> Fib:
+    return Fib(ConstantFamily(base, labels), comp_discrete)
 
 
 def comp_interval(problem: Problem):

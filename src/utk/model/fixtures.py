@@ -17,14 +17,10 @@ from pathlib import Path
 from .interval import dm_const, dm_meet, dm_neg, dm_sym
 from .cset import (
     CSetMap, ConstantFamily, CubeMap, CubicalSet, DiscreteCSet, Family,
-    IntervalCSet, IntervalFamily, PointCSet, TotalCSet,
+    IntervalCSet, IntervalFamily, TotalCSet,
 )
-from .fib import Fib, comp_discrete, comp_interval, comp_sigma
+from .fib import Fib, comp_discrete, comp_interval, comp_sigma, discrete_fib
 from .constructions import ContrStruct
-
-
-def discrete_fib(base: CubicalSet, labels) -> Fib:
-    return Fib(ConstantFamily(base, labels), comp_discrete)
 
 
 class LabelFamily(Family):
@@ -116,13 +112,13 @@ class Fixture:
 def base_maps():
     """Nontrivial base endomaps of the interval for reindexing checks."""
     iv = IntervalCSet()
-    neg = CSetMap(iv, iv, lambda I, r: dm_neg(r), name="neg")
-    squash = CSetMap(iv, iv, lambda I, r: dm_meet(r, dm_neg(r)), name="r/\\~r")
+    neg = CSetMap(iv, lambda I, r: dm_neg(r), name="neg")
+    squash = CSetMap(iv, lambda I, r: dm_meet(r, dm_neg(r)), name="r/\\~r")
     return [neg, squash]
 
 
 def builtin_fixtures():
-    point = PointCSet()
+    point = DiscreteCSet(["pt"])
     iv = IntervalCSet()
     fixtures = [
         Fixture("pt/one", discrete_fib(point, ["x"]),

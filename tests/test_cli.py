@@ -10,6 +10,9 @@ import pytest
 import utk
 from utk import cli
 from utk import corpuscheck as C
+from utk import elab as E
+from utk import kernel as K
+from utk import parser as P
 
 
 def run_cli(capsys, *args):
@@ -45,6 +48,23 @@ def test_check_error_output(tmp_path, capsys, source, code, out, err):
     f = tmp_path / "bad.tt"
     f.write_text(source)
     assert run_cli(capsys, "check", str(f)) == (code, out, err)
+
+
+def test_a_name_declared_in_two_files_is_a_failing_row(tmp_path, capsys):
+    files = [tmp_path / "a.tt", tmp_path / "b.tt"]
+    for f in files:
+        f.write_text("def a : U1 := U0\n")
+    paths = [str(f) for f in files]
+    assert run_cli(capsys, "check", *paths) == (
+        1, "ok    a\nFAIL  a: duplicate declaration: a\nfail\n", "")
+    code, out, err = run_cli(capsys, "check", "--json", *paths)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"declarations": [
+        {"error": None, "name": "a", "status": "ok"},
+        {"error": "duplicate declaration: a", "name": "a", "status": "error"},
+    ], "pass": False}
+    with pytest.raises(K.DeclarationError, match="^a: duplicate declaration: a$"):
+        E.elaborate(P.parse_files(paths))
 
 
 def test_check_missing_file(capsys):

@@ -11,7 +11,7 @@ E = frozenset()
 
 
 def point_fibs():
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     A = FX.discrete_fib(point, ["x", "y"])
     B = FX.discrete_fib(point, ["s", "t"])
     iso = CO.StrictIso(A.family, lambda I, rho, a: {"x": "s", "y": "t"}[a],
@@ -123,18 +123,18 @@ def test_isopath_endpoints_exact():
 
 
 def test_contract_path_unit_to_unit():
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     unit_like = FX.discrete_fib(point, ["x"])
     contr = CO.ContrStruct(lambda I, rho: "x", lambda I, rho, a, z: "x")
     path = CO.contract_path(unit_like, contr)
-    unit = FB.comp_unit(point)
+    unit = FB.discrete_fib(point, ["*"])
     assert ST.fibs_equal(CO.endpoint_reindex(path.line, point, 0), unit_like) == []
     assert ST.fibs_equal(CO.endpoint_reindex(path.line, point, 1), unit) == []
 
 
 def test_contraction_fiber_shapes():
     # fibers of C_A at the endpoints: a copy of A at 0, a point at 1
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     w = FX.interval_fib(point)
     ext = CO.extend_from_contractible(w, FX.interval_contraction(point))
     cfib = CO.contraction_fib(w, ext)
@@ -145,7 +145,7 @@ def test_contraction_fiber_shapes():
 
 
 def test_contraction_fiber_is_a_fresh_list_on_each_call():
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     w = FX.interval_fib(point)
     family = CO.contraction_fib(w, CO.extend_from_contractible(
         w, FX.interval_contraction(point))).family
@@ -159,7 +159,7 @@ def test_contraction_fiber_is_a_fresh_list_on_each_call():
 
 
 def test_extension_structure_extends():
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     w = FX.interval_fib(point)
     ext = CO.extend_from_contractible(w, FX.interval_contraction(point))
     # phi = bot: the centre transported

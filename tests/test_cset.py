@@ -1,6 +1,7 @@
 import itertools
 
 from utk.model import cset as CS
+from utk.model import fib as FB
 from utk.model import selftest as ST
 from utk.report import Report
 from utk.model.interval import ctx, dm_all, dm_const, dm_meet, dm_neg, dm_sym, dm_eq
@@ -52,7 +53,24 @@ def test_validate_product_and_total():
     assert CS.validate_cset(prod, max_dim=2) == []
     fam = CS.ConstantFamily(CS.DiscreteCSet(["p", "q"]), ["x", "y"])
     assert CS.validate_cset(fam, max_dim=2) == []
-    assert CS.validate_cset(CS.IntervalFamily(CS.PointCSet()), max_dim=2) == []
+    assert CS.validate_cset(CS.IntervalFamily(CS.DiscreteCSet(["pt"])), max_dim=2) == []
+
+
+def test_membership_is_exact_at_every_problem_stage():
+    # a family's members are its fiber's elements: the interval family lists
+    # the whole free algebra up to two dimensions
+    family = CS.IntervalFamily(CS.DiscreteCSet(["pt"]))
+    for stage, size in ((E, 2), (I, 6), (IJ, 168)):
+        assert family.fiber(stage, "pt") == list(dm_all(stage))
+        assert len(family.fiber(stage, "pt")) == size
+    assert dm_const(E, 0) not in family.fiber(I, "pt")
+    assert dm_sym(I, "i") not in family.fiber(IJ, "pt")
+    # and the boundary checks ask only at stages of at most two dimensions
+    point = FB.discrete_fib(CS.DiscreteCSet(["pt"]), ["x"])
+    for max_dim in (2, 3):
+        stages = {problem.I for problem in ST.enumerate_problems(point, max_dim)}
+        assert stages == set(CS.enumerate_contexts(max_dim - 1))
+        assert max(map(len, stages)) == max_dim - 1 <= 2
 
 
 class TabularCSet(CS.CubicalSet):
@@ -131,7 +149,7 @@ def test_cofibration_closed_under_restriction():
 
 def test_memoised_holds_agrees_with_the_face():
     iv = CS.IntervalCSet()
-    prod = CS.ProductIntervalCSet(CS.PointCSet())
+    prod = CS.ProductIntervalCSet(CS.DiscreteCSet(["pt"]))
     cases = [(CS.cof_false(), iv), (CS.cof_true(), iv), (CS.cof_interval_eq(0), iv),
              (CS.cof_interval_eq(1), iv), (CS.cof_endpoints(), prod)]
     for cof, base in cases:

@@ -16,7 +16,7 @@ def mkproblem(fib, I_, path, e=0, phi=None, values=None, a0=None, z="z"):
 
 
 def test_discrete_comp_is_identity():
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     fib = FX.discrete_fib(point, ["x", "y"])
     problem = mkproblem(fib, E, "pt", a0="x")
     assert fib.comp(problem) == "x"
@@ -25,7 +25,7 @@ def test_discrete_comp_is_identity():
 
 def test_comp_with_total_partial_path_is_forced():
     # phi = T forces the answer to the far end of the partial path
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     w = FX.interval_fib(point)
     z = dm_sym(ctx("z"), "z")
     problem = mkproblem(w, E, "pt", e=0, phi=face_top(E),
@@ -35,15 +35,15 @@ def test_comp_with_total_partial_path_is_forced():
 
 
 def test_unit_comp():
-    point = CS.PointCSet()
-    unit = FB.comp_unit(point)
+    point = CS.DiscreteCSet(["pt"])
+    unit = FB.discrete_fib(point, ["*"])
     problem = mkproblem(unit, E, "pt", a0="*")
     assert unit.comp(problem) == "*"
 
 
 def test_interval_two_sided_interpolation():
     # walls z at (i=0) and ~z at (i=1) glue to a genuine square
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     w = FX.interval_fib(point)
     z = dm_sym(ctx("z"), "z")
     phi = face_or(face_eq_sym(I, "i", 0), face_eq_sym(I, "i", 1))
@@ -62,7 +62,7 @@ def test_interval_two_sided_interpolation():
 
 
 def test_fill_endpoints_constant_family():
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     fib = FX.discrete_fib(point, ["x", "y"])
     problem = mkproblem(fib, E, "pt", a0="y")
     q = FB.fill(fib, problem, "w")
@@ -76,7 +76,7 @@ def test_fill_endpoints_constant_family():
 def test_fill_agrees_with_partial_by_substitution():
     # brute force the fill of an interval problem through De Morgan
     # substitutions at both walls
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     w = FX.interval_fib(point)
     z = dm_sym(ctx("z"), "z")
     phi = face_eq_sym(I, "i", 0)
@@ -118,7 +118,7 @@ def test_sigma_comp_forced_by_top():
 
 def test_problem_enumeration_respects_preconditions():
     from utk.model import selftest as ST
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     fib = FX.discrete_fib(point, ["x", "y"])
     count = 0
     for problem in ST.enumerate_problems(fib, 2):

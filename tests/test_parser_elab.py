@@ -232,6 +232,8 @@ MALFORMED = [
     (P.parse_term, "J (f _) b x y p", "1:1: not a term: Hole(line=1, col=6, solution=None)"),
     (lambda src: E.elaborate(P.parse_program(src)), "def u : U0 -> U0 := \\A -> _",
      "u: placeholder not determined by its expected type U0"),
+    (lambda src: E.elaborate(P.parse_program(src)), "def u : U1 := _ U0",
+     "u: placeholder in a position with no expected type"),
 ]
 
 

@@ -132,7 +132,7 @@ def test_selftest_with_loaded_fixtures(fixtures_selftest_cli):
 
 
 def two_point_path():
-    point = CS.PointCSet()
+    point = CS.DiscreteCSet(["pt"])
     A = FX.discrete_fib(point, ["x", "y"])
     B = FX.discrete_fib(point, ["s", "t"])
     iso = ST._swap_iso(A, {"x": "s", "y": "t"})
@@ -140,7 +140,7 @@ def two_point_path():
 
 
 def test_boundary_flags_a_composition_that_ignores_the_walls():
-    sound = FX.interval_fib(CS.PointCSet())
+    sound = FX.interval_fib(CS.DiscreteCSet(["pt"]))
     assert ST._boundary(sound, 2) == []
     stuck = FB.Fib(sound.family, FB.comp_discrete)
     assert ST._boundary(stuck, 2)
