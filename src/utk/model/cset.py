@@ -206,12 +206,17 @@ class RestrictedCSet(CubicalSet):
 
 
 class TotalCSet(CubicalSet):
-    """Base extended by a family: cells are pairs (rho, a).  It is only the
-    base of dependent families; nothing enumerates its cells."""
+    """Base extended by a family: cells are pairs (rho, a).  It is the base
+    of dependent families, and the law check reads a family as its total
+    set."""
 
     def __init__(self, base: CubicalSet, family):
         self.base = base
         self.family = family
+
+    def cells(self, context):
+        return [(rho, a) for rho in self.base.cells(context)
+                for a in self.family.fiber(context, rho)]
 
     def restrict(self, f, x):
         b, a = x
@@ -289,17 +294,21 @@ class Family:
         raise NotImplementedError
 
 
-class ConstantFamily(Family):
-    def __init__(self, base, labels):
+class LabelFamily(Family):
+    """A discrete family: the fiber over rho is labels(rho) at every stage,
+    and every restriction keeps the label."""
+
+    def __init__(self, base: CubicalSet, labels):
         super().__init__(base)
-        self.labels = list(labels)
+        self.labels = labels
 
     def fiber(self, context, rho):
-        return list(self.labels)
+        return list(self.labels(rho))
 
     def restrict(self, rho, f, a):
-        if a not in self.labels:
-            raise ElementNotInObjectError(f"{a!r} not among {self.labels}")
+        labels = self.labels(rho)
+        if a not in labels:
+            raise ElementNotInObjectError(f"{a!r} not among {labels}")
         return a
 
 
@@ -418,33 +427,28 @@ def enumerate_maps(src: frozenset, dst: frozenset) -> tuple:
                  for values in itertools.product(_map_pool(dst), repeat=len(names)))
 
 
-def restrict_element(X, f: CubeMap, x):
-    """Spec-level action: for a cubical set x is a cell; for a family x is a
-    pair (rho, a)."""
-    if isinstance(X, Family):
-        rho, a = x
-        return (X.base.restrict(f, rho), X.restrict(rho, f, a))
+def restrict_element(X: CubicalSet, f: CubeMap, x):
+    """The action the law check reads: x·f for a cell x of the cubical set
+    X.  A family is checked as its total set, whose cells are (rho, a)."""
     return X.restrict(f, x)
 
 
 def validate_cset(X, max_dim: int = 2, max_points: int = 24,
                   max_pairs: int = 600) -> list:
-    """Check the identity and composition laws; returns violations.
+    """Check the identity and composition laws; returns violations.  X is a
+    cubical set, or a family, which is checked as its total set.
 
     Identities are checked on every sampled point; composition over
     composable pairs of representative maps between the canonical contexts,
     capped per context triple.
     """
+    if isinstance(X, Family):
+        X = TotalCSet(X.base, X)
     violations = []
     contexts = enumerate_contexts(max_dim)
-    is_family = isinstance(X, Family)
 
     def points(context):
-        if is_family:
-            pts = [(rho, a) for rho in X.base.cells(context)
-                   for a in X.fiber(context, rho)]
-        else:
-            pts = X.cells(context)
+        pts = X.cells(context)
         if len(pts) > max_points:
             step = max(1, len(pts) // max_points)
             pts = pts[::step]

@@ -17,7 +17,7 @@ from .interval import (
     face_of_eq, face_or, face_subst_clause, face_weaken,
 )
 from .cset import (
-    ConstantFamily, CubeMap, CubicalSet, Family, SigmaFamily, TotalCSet,
+    CubeMap, CubicalSet, Family, LabelFamily, SigmaFamily, TotalCSet,
     extend_clause_map,
 )
 
@@ -145,8 +145,15 @@ def comp_discrete(problem: Problem):
     return problem.a0
 
 
+def label_fib(base: CubicalSet, labels) -> Fib:
+    """A discrete fibration whose fiber over rho is labels(rho)."""
+    return Fib(LabelFamily(base, labels), comp_discrete)
+
+
 def discrete_fib(base: CubicalSet, labels) -> Fib:
-    return Fib(ConstantFamily(base, labels), comp_discrete)
+    """The constant discrete fibration: the same labels over every cell."""
+    labels = list(labels)
+    return label_fib(base, lambda rho: labels)
 
 
 def comp_interval(problem: Problem):

@@ -16,30 +16,13 @@ from pathlib import Path
 
 from .interval import dm_const, dm_meet, dm_neg, dm_sym
 from .cset import (
-    CSetMap, ConstantFamily, CubeMap, CubicalSet, DiscreteCSet, Family,
-    IntervalCSet, IntervalFamily, TotalCSet,
+    CSetMap, CubeMap, CubicalSet, DiscreteCSet, Family, IntervalCSet,
+    IntervalFamily, TotalCSet,
 )
-from .fib import Fib, comp_discrete, comp_interval, comp_sigma, discrete_fib
+from .fib import (
+    Fib, comp_discrete, comp_interval, comp_sigma, discrete_fib, label_fib,
+)
 from .constructions import ContrStruct
-
-
-class LabelFamily(Family):
-    """A discrete family whose labels depend on the base cell: the fiber over
-    rho is labels(rho), and every restriction keeps the label."""
-
-    def __init__(self, base: CubicalSet, labels):
-        super().__init__(base)
-        self.labels = labels
-
-    def fiber(self, context, rho):
-        return list(self.labels(rho))
-
-    def restrict(self, rho, f, a):
-        return a
-
-
-def label_fib(base: CubicalSet, labels) -> Fib:
-    return Fib(LabelFamily(base, labels), comp_discrete)
 
 
 def interval_fib(base: CubicalSet) -> Fib:
@@ -82,7 +65,7 @@ def sigma_fixture():
     A = discrete_fib(base, ["a1", "a2"])
     total = TotalCSet(base, A.family)
     w_family = IntervalFamily(total)
-    unit_family = ConstantFamily(total, ["u"])
+    unit_family = discrete_fib(total, ["u"]).family
     slices = {
         ("p", "a1"): w_family,
         ("p", "a2"): unit_family,

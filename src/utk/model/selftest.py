@@ -100,9 +100,10 @@ def fibs_equal(f1: Fib, f2: Fib, max_dim: int = 2) -> list:
             if a != b:
                 out.append(("fiber", I, rho))
                 continue
+            sample = f1.family.sample_fiber(I, rho)
             for dst in enumerate_contexts(max_dim):
                 for f in enumerate_maps(I, dst)[:12]:
-                    for x in f1.family.sample_fiber(I, rho):
+                    for x in sample:
                         r1 = f1.family.restrict(rho, f, x)
                         r2 = f2.family.restrict(rho, f, x)
                         if r1 != r2:

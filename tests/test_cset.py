@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from utk.model import cset as CS
 from utk.model import fib as FB
 from utk.model import selftest as ST
@@ -51,9 +53,17 @@ def test_validate_constant_and_interval():
 def test_validate_product_and_total():
     prod = CS.ProductIntervalCSet(CS.DiscreteCSet(["p"]))
     assert CS.validate_cset(prod, max_dim=2) == []
-    fam = CS.ConstantFamily(CS.DiscreteCSet(["p", "q"]), ["x", "y"])
+    fam = CS.LabelFamily(CS.DiscreteCSet(["p", "q"]), lambda rho: ["x", "y"])
     assert CS.validate_cset(fam, max_dim=2) == []
     assert CS.validate_cset(CS.IntervalFamily(CS.DiscreteCSet(["pt"])), max_dim=2) == []
+
+
+def test_a_label_family_restricts_only_its_own_labels():
+    fam = CS.LabelFamily(CS.DiscreteCSet(["p", "q"]), {"p": ["x"], "q": ["y"]}.__getitem__)
+    f = CS.CubeMap.make(frozenset(), ctx("i"), {})
+    assert fam.restrict("q", f, "y") == "y"
+    with pytest.raises(CS.ElementNotInObjectError, match=r"'y' not among \['x'\]"):
+        fam.restrict("p", f, "y")
 
 
 def test_membership_is_exact_at_every_problem_stage():
@@ -102,6 +112,53 @@ def corrupted_cset():
 def test_validate_catches_corruption():
     violations = CS.validate_cset(corrupted_cset(), max_dim=2)
     assert violations
+
+
+class OneMapFaultySet(CS.IntervalCSet):
+    """The interval, except that x·m is negated for the one map m.  It lists
+    cells over the empty context only, which every map is reached from: as
+    g after the one map out of it, or as f when m starts there."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def cells(self, context):
+        return super().cells(context) if not context else []
+
+    def restrict(self, f, x):
+        y = super().restrict(f, x)
+        return dm_neg(y) if f is self.m else y
+
+
+class OneMapFaultyFamily(CS.IntervalFamily):
+    """The interval family over a point, except that a·m is negated for the
+    one map m.  Like `OneMapFaultySet`, it lists elements over the empty
+    context only."""
+
+    def __init__(self, m):
+        super().__init__(CS.DiscreteCSet(["pt"]))
+        self.m = m
+
+    def fiber(self, context, rho):
+        return super().fiber(context, rho) if not context else []
+
+    def restrict(self, rho, f, a):
+        y = super().restrict(rho, f, a)
+        return dm_neg(y) if f is self.m else y
+
+
+@pytest.mark.parametrize("faulty", [OneMapFaultySet, OneMapFaultyFamily])
+def test_a_law_fault_on_one_map_is_caught(faulty):
+    contexts = CS.enumerate_contexts(2)
+    maps = [m for src in contexts for dst in contexts
+            for m in CS.enumerate_maps(src, dst) if not m.is_identity()]
+    assert len(maps) == 184
+    for m in maps:
+        violations = CS.validate_cset(faulty(m), max_dim=2)
+        assert violations, m
+        # every violation is a composition through the faulty map
+        for _, _, _, _, f, g, _ in violations:
+            assert m in (f, g, f.then(g)), (m, f, g)
 
 
 def test_cubemap_repr_shows_components():
