@@ -12,17 +12,16 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .interval import (
-    ModelError, dm_is_const, dm_sym, face_bot, face_forall, face_of_eq, face_or,
+    dm_is_const, dm_sym, face_bot, face_forall, face_of_eq, face_or,
     face_subst_clause,
 )
 from .cset import (
     CSetMap, Cofibration, CubeMap, CubicalSet, Family, ProductIntervalCSet,
-    ReindexedFamily, RestrictedCSet, _factor, cof_endpoints, fst_map,
-    pairing_map,
+    ReindexedFamily, RestrictedCSet, cof_endpoints, fst_map, pairing_map,
 )
 from .fib import (
-    CompositionError, Fib, Problem, clause_path, clause_stage, discrete_fib,
-    fill, fill_path, partial_at, path_at, restrict_problem, _fresh_dim,
+    CompositionError, Fib, Problem, clause_stage, discrete_fib, fill, fill_path,
+    partial_at, path_at, restrict_partial, restrict_problem, _fresh_dim,
 )
 
 
@@ -47,15 +46,6 @@ class FibPath:
     fibrations, as equalities of finite data."""
 
     line: Fib  # over ProductIntervalCSet(base)
-    source: Fib
-    target: Fib
-
-
-@dataclass
-class MisalignedPath:
-    line: Fib  # over base*I
-    iso0: StrictIso  # source family ~= line at 0
-    iso1: StrictIso  # target family ~= line at 1
     source: Fib
     target: Fib
 
@@ -128,10 +118,11 @@ def isofib(iso: StrictIso, beta: Fib) -> Fib:
         values = {}
         for clause, v in problem.values.items():
             stage = clause_stage(problem.I, clause) | {problem.z}
-            values[clause] = iso.fwd(stage, clause_path(base, problem, clause), v)
-        b0 = iso.fwd(problem.I, path_at(base, problem, problem.e), problem.a0)
+            values[clause] = iso.fwd(stage, path_at(base, problem, clause), v)
+        b0 = iso.fwd(problem.I, path_at(base, problem, problem.end(problem.e)),
+                     problem.a0)
         b1 = beta.comp(replace(problem, values=values, a0=b0))
-        return iso.bwd(problem.I, path_at(base, problem, 1 - problem.e), b1)
+        return iso.bwd(problem.I, path_at(base, problem, problem.end(1 - problem.e)), b1)
 
     return Fib(family, comp)
 
@@ -243,25 +234,27 @@ def veebar(A: Fib, B: Fib) -> Fib:
 # Improving misaligned paths; paths from isomorphisms
 
 
-def improve(m: MisalignedPath) -> FibPath:
-    """Strictify a misaligned path so its endpoints are the recorded
-    fibrations on the nose: the line is strictified along veebar of the
-    recorded ends, with m.iso0 and m.iso1 joined over `_side` into an
-    isomorphism from veebar to the line over the endpoints."""
-    vee = veebar(m.source, m.target)
-    isos = (m.iso0, m.iso1)
+def improve(line: Fib, iso0: StrictIso, iso1: StrictIso, source: Fib,
+            target: Fib) -> FibPath:
+    """Strictify a misaligned path, a line over base*I whose ends are
+    isomorphic to source (by iso0) and target (by iso1), so its endpoints
+    are the recorded fibrations on the nose: the line is strictified along
+    veebar of the recorded ends, with iso0 and iso1 joined over `_side`
+    into an isomorphism from veebar to the line over the endpoints."""
+    vee = veebar(source, target)
+    isos = (iso0, iso1)
     joined = StrictIso(vee.family,
                        lambda I, rho, a: isos[_side(rho)].fwd(I, rho[0], a),
                        lambda I, rho, b: isos[_side(rho)].bwd(I, rho[0], b))
-    line2, _ = strictify_fib(cof_endpoints(), vee, m.line, joined)
-    return FibPath(line2, m.source, m.target)
+    line2, _ = strictify_fib(cof_endpoints(), vee, line, joined)
+    return FibPath(line2, source, target)
 
 
 def isopath(iso: StrictIso, A: Fib, B: Fib) -> FibPath:
     """A path between strictly isomorphic fibrations: improve the constant
     line at B along (iso, id)."""
     line = reindex_fib(B, fst_map(ProductIntervalCSet(A.base)))
-    return improve(MisalignedPath(line, iso, identity_iso(B.family), A, B))
+    return improve(line, iso, identity_iso(B.family), A, B)
 
 
 def coerce_along(P: FibPath, I: frozenset, x, a):
@@ -319,59 +312,20 @@ class ContractionFamily(Family):
                 if self._compatible(context, x, dict(combo))]
 
     def _compatible(self, context, x, values) -> bool:
+        ident = CubeMap.identity(context)
         for c1, c2 in itertools.combinations(values, 2):
-            merged = dict(c1)
-            ok = True
-            for nm, e in c2:
-                if merged.get(nm, e) != e:
-                    ok = False
-                    break
-                merged[nm] = e
-            if not ok:
-                continue  # inconsistent overlap
-            union = frozenset(merged.items())
-            v1 = self._restrict_value(context, x, c1, values[c1], union)
-            v2 = self._restrict_value(context, x, c2, values[c2], union)
-            if v1 != v2:
+            union = c1 | c2
+            if len(dict(union)) < len(union):
+                continue  # the clauses fix a name at both ends: no overlap
+            if (restrict_partial(self.A, x, [(c1, values[c1])], ident, [union])
+                    != restrict_partial(self.A, x, [(c2, values[c2])], ident, [union])):
                 return False
         return True
 
-    def _restrict_value(self, context, x, clause, value, to_clause):
-        base = self.base.base
-        stage = clause_stage(context, clause)
-        extra = frozenset(to_clause - clause)
-        if not extra:
-            return value
-        xr = base.restrict(CubeMap.face(context, clause), x)
-        return self.A.restrict(xr, CubeMap.face(stage, extra), value)
-
-    def element_at(self, context, x, values: frozenset, clause: frozenset):
-        """Resolve a partial element at any clause of its face."""
-        for c, v in values:
-            if c <= clause:
-                return self._restrict_value(context, x, c, v, clause)
-        raise ModelError("partial element undefined at the requested clause")
-
     def restrict(self, rho, f, a):
         x, r = rho
-        base = self.base.base
-        target = f.dst
-        rf = f.apply_dm(r)
-        face0 = face_of_eq(rf, 0)
-        out = []
-        for clause in face0.clauses():
-            m = f.then(CubeMap.face(target, clause))
-            # factor m through a clause of (r = 0)
-            for c, v in a:
-                remainder = _factor(m, c)
-                if remainder is not None:
-                    xr = base.restrict(CubeMap.face(f.src, c), x)
-                    out.append((clause, self.A.restrict(xr, remainder, v)))
-                    break
-            else:
-                raise ModelError(
-                    "restriction does not factor through the recorded clauses")
-        return frozenset(out)
+        clauses = face_of_eq(f.apply_dm(r), 0).clauses()
+        return frozenset(restrict_partial(self.A, x, a, f, clauses).items())
 
 
 def contraction_fib(A: Fib, extend) -> Fib:
@@ -396,17 +350,10 @@ def contraction_fib(A: Fib, extend) -> Fib:
             phi_c = face_subst_clause(problem.phi, clause)
             values = {}
             for v in phi_c.clauses():
-                union = frozenset(clause | v)
-                cav = partial_at(family, problem, union)
-                stage_u = clause_stage(problem.I, union)
-                stage_uz = stage_u | {problem.z}
-                pth = clause_path(family.base, problem, union)
-                ez = CubeMap.face(stage_uz, frozenset({(problem.z, end)}))
-                at_end = family.restrict(pth, ez, cav)
+                at_end = partial_at(family, problem, clause | v | problem.end(end))
                 # the end face is trivially true under the clause, so the
                 # partial element is total; its value sits at the empty clause
-                x_u, _ = family.base.restrict(ez, pth)
-                values[v] = family.element_at(stage_u, x_u, at_end, frozenset())
+                values[v] = dict(at_end)[frozenset()]
             out.append((clause, extend(stage, x_c, phi_c, values)))
         return frozenset(out)
 
@@ -438,14 +385,13 @@ def contract_path(A: Fib, contr: ContrStruct) -> FibPath:
     contraction C_A along the evident endpoint isomorphisms."""
     cfib = contraction_fib(A, extend_from_contractible(A, contr))
     unit = discrete_fib(A.base, ["*"])
-    family = cfib.family
 
     def iso0_fwd(I, x, a):
         return frozenset({(frozenset(), a)})
 
     def iso0_bwd(I, x, d):
-        return family.element_at(I, x, d, frozenset())
+        return dict(d)[frozenset()]  # the fiber at 0 holds total elements
 
     iso0 = StrictIso(A.family, iso0_fwd, iso0_bwd)
     iso1 = StrictIso(unit.family, lambda I, x, a: frozenset(), lambda I, x, d: "*")
-    return improve(MisalignedPath(cfib, iso0, iso1, A, unit))
+    return improve(cfib, iso0, iso1, A, unit)

@@ -56,6 +56,7 @@ class CubeMap:
         return f
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(context: frozenset) -> "CubeMap":
         return CubeMap.make(context, context,
                             {n: dm_sym(context, n) for n in context})
@@ -115,18 +116,6 @@ def _factor(m: CubeMap, clause: frozenset):
     killed = {nm for nm, _ in clause}
     return CubeMap.make(m.src - killed, m.dst,
                         {nm: e for nm, e in m.assign if nm not in killed})
-
-
-@lru_cache(maxsize=None)
-def extend_clause_map(f: CubeMap, extra: str) -> CubeMap:
-    """Extend a map by an untouched dimension (used to push face maps under a
-    path direction)."""
-    src = f.src | {extra}
-    dst = f.dst | {extra}
-    mapping = {n: dm_subst(e, {m: dm_sym(dst, m) for m in f.dst}, dst)
-               for n, e in f.assign}
-    mapping[extra] = dm_sym(dst, extra)
-    return CubeMap.make(src, dst, mapping)
 
 
 def sample_dm(context: frozenset) -> tuple:

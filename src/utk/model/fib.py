@@ -1,11 +1,18 @@
 """Composition structures and fibrations.
 
+A partial element of a family over a cell x is a `{clause: element}` map:
+each clause of a face formula over x's stage carries an element over the
+clause's face of x, the elements agreeing where clauses overlap.  One
+function, `restrict_partial`, restricts it along any cube map, and every
+partial element here goes through it: problem walls, fillers and the
+contraction family's members.
+
 A composition problem for a family A over Gamma, at a stage I with a fresh
 direction z, carries a path p into Gamma (a cell over I+z), a face formula
-phi over I, a partial path `values` mapping each canonical clause c of phi
-to an element over (I - dims c) + z at the restricted path, and a starting
-element at the end e.  A composition structure solves every problem,
-landing at the other end and agreeing with the partial path there.
+phi over I, a partial path `values`, the partial element over p at the
+clauses of phi, and a starting element at the end e.  A composition
+structure solves every problem, landing at the other end and agreeing with
+the partial path there.
 """
 
 from __future__ import annotations
@@ -17,8 +24,7 @@ from .interval import (
     face_of_eq, face_or, face_subst_clause, face_weaken,
 )
 from .cset import (
-    CubeMap, CubicalSet, Family, LabelFamily, SigmaFamily, TotalCSet,
-    extend_clause_map,
+    CubeMap, CubicalSet, Family, LabelFamily, SigmaFamily, TotalCSet, _factor,
 )
 
 
@@ -44,8 +50,12 @@ class Problem:
     def zctx(self) -> frozenset:
         return self.I | {self.z}
 
+    def end(self, endpoint: int) -> frozenset:
+        """The clause z = endpoint."""
+        return frozenset({(self.z, endpoint)})
+
     def end_map(self, endpoint: int) -> CubeMap:
-        return CubeMap.face(self.zctx, frozenset({(self.z, endpoint)}))
+        return CubeMap.face(self.zctx, self.end(endpoint))
 
 
 @dataclass
@@ -60,50 +70,48 @@ class Fib:
         return self.family.base
 
 
-def path_at(base: CubicalSet, problem: Problem, endpoint: int):
-    return base.restrict(problem.end_map(endpoint), problem.path)
+def path_at(base: CubicalSet, problem: Problem, clause: frozenset):
+    """The path under the face map of a clause over I + z: a clause over I
+    keeps the direction, the clause `problem.end(e)` gives the end e."""
+    return base.restrict(CubeMap.face(problem.zctx, clause), problem.path)
 
 
-def clause_path(base: CubicalSet, problem: Problem, clause: frozenset):
-    """The path restricted under a clause's face map, still with direction z."""
-    gz = extend_clause_map(CubeMap.face(problem.I, clause), problem.z)
-    return base.restrict(gz, problem.path)
+def restrict_partial(family: Family, x, values, f: CubeMap, clauses) -> dict:
+    """Restrict a partial element along any cube map f.  `values` are the
+    (clause, element) pairs of a partial element over the cell x of f.src,
+    each element over its clause's face of x; the result maps each clause
+    of `clauses`, over f.dst, to its element, read off the first recorded
+    clause that f followed by the clause's face map factors through."""
+    out = {}
+    for clause in clauses:
+        m = f.then(CubeMap.face(f.dst, clause))
+        for c, v in values:
+            remainder = _factor(m, c)
+            if remainder is not None:
+                xc = family.base.restrict(CubeMap.face(f.src, c), x)
+                out[clause] = family.restrict(xc, remainder, v)
+                break
+        else:
+            raise CompositionError(
+                f"partial element has no value covering the clause {sorted(clause)}")
+    return out
 
 
 def partial_at(family: Family, problem: Problem, clause: frozenset):
-    """Value of the partial path at any clause entailing phi, resolved
-    through a canonical clause it extends."""
-    for c, value in problem.values.items():
-        if c <= clause:
-            extra = frozenset(clause - c)
-            if not extra:
-                return value
-            f = extend_clause_map(
-                CubeMap.face(clause_stage(problem.I, c), extra), problem.z)
-            return family.restrict(clause_path(family.base, problem, c), f, value)
-    raise CompositionError(
-        f"partial path has no value covering the clause {sorted(clause)}")
-
-
-def partial_end(family: Family, problem: Problem, clause: frozenset,
-                endpoint: int):
-    """Partial value at a clause, evaluated at a z endpoint."""
-    value = partial_at(family, problem, clause)
-    stage = clause_stage(problem.I, clause) | {problem.z}
-    emap = CubeMap.face(stage, frozenset({(problem.z, endpoint)}))
-    return family.restrict(clause_path(family.base, problem, clause), emap, value)
+    """Value of the partial path at any clause over I + z that entails phi."""
+    return restrict_partial(family, problem.path, problem.values.items(),
+                            CubeMap.identity(problem.zctx), [clause])[clause]
 
 
 def _end_violations(fib: Fib, problem: Problem, endpoint: int, a):
     """Violations of a as an element at the path's end `endpoint`: it must
     lie in that fiber and extend the partial path there."""
-    end = path_at(fib.base, problem, endpoint)
+    end = path_at(fib.base, problem, problem.end(endpoint))
     if a not in fib.family.fiber(problem.I, end):
         yield ("fiber", a)
     for clause in problem.phi.clauses():
-        g = CubeMap.face(problem.I, clause)
-        got = fib.family.restrict(end, g, a)
-        want = partial_end(fib.family, problem, clause, endpoint)
+        got = fib.family.restrict(end, CubeMap.face(problem.I, clause), a)
+        want = partial_at(fib.family, problem, clause | problem.end(endpoint))
         if got != want:
             yield ("boundary", clause, got, want)
 
@@ -122,18 +130,13 @@ def check_start_agreement(fib: Fib, problem: Problem) -> bool:
 def restrict_problem(family: Family, problem: Problem,
                      clause: frozenset) -> Problem:
     """Reindex a problem along the face map of a clause over its stage."""
-    stage = clause_stage(problem.I, clause)
-    g = CubeMap.face(problem.I, clause)
-    new_path = clause_path(family.base, problem, clause)
     new_phi = face_subst_clause(problem.phi, clause)
-    new_values = {
-        c: partial_at(family, problem, frozenset(clause | c))
-        for c in new_phi.clauses()
-    }
-    start = path_at(family.base, problem, problem.e)
-    new_a0 = family.restrict(start, g, problem.a0)
-    return Problem(stage, problem.z, problem.e, new_path,
-                   new_phi, new_values, new_a0)
+    new_values = restrict_partial(family, problem.path, problem.values.items(),
+                                  CubeMap.face(problem.zctx, clause), new_phi.clauses())
+    start = path_at(family.base, problem, problem.end(problem.e))
+    new_a0 = family.restrict(start, CubeMap.face(problem.I, clause), problem.a0)
+    return Problem(clause_stage(problem.I, clause), problem.z, problem.e,
+                   path_at(family.base, problem, clause), new_phi, new_values, new_a0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,33 +248,16 @@ def fill(fib: Fib, problem: Problem, out_dim: str):
     new_phi = face_or(face_weaken(problem.phi, wctx),
                       face_of_eq(dm_sym(wctx, w), e))
 
-    new_values = {}
-    for clause in new_phi.clauses():
-        fixed = dict(clause)
-        if w in fixed:
-            # the w = e wall: the constant path at a0, under the remaining
-            # endpoints of the clause
-            rest = frozenset(c for c in clause if c[0] != w)
-            small = clause_stage(I, rest)
-            start = path_at(base, problem, e)
-            a0r = fib.family.restrict(start, CubeMap.face(I, rest), problem.a0)
-            start_r = base.restrict(CubeMap.face(I, rest), start)
-            new_values[clause] = fib.family.restrict(
-                start_r, CubeMap.weaken(small, small | {z}), a0r)
-        else:
-            # a phi wall: the original value with its direction squashed
-            value = partial_at(fib.family, problem, clause)
-            stage = clause_stage(I, clause) | {z}
-            tstage = clause_stage(wctx, clause) | {z}
-            sq = CubeMap.make(
-                stage, tstage,
-                {**{n: dm_sym(tstage, n) for n in clause_stage(I, clause)},
-                 z: conn(dm_sym(tstage, z), dm_sym(tstage, w))})
-            new_values[clause] = fib.family.restrict(
-                clause_path(base, problem, clause), sq, value)
-
-    a0w = fib.family.restrict(path_at(base, problem, e), CubeMap.weaken(I, wctx),
-                              problem.a0)
+    # the phi walls squash their direction; the w = e walls are the
+    # constant path at a0
+    clauses = new_phi.clauses()
+    at_w = [c for c in clauses if w in dict(c)]
+    start = path_at(base, problem, problem.end(e))
+    new_values = restrict_partial(fib.family, problem.path, problem.values.items(),
+                                  squash, [c for c in clauses if c not in at_w])
+    new_values.update(restrict_partial(fib.family, start, [(frozenset(), problem.a0)],
+                                       CubeMap.weaken(I, wzctx), at_w))
+    a0w = fib.family.restrict(start, CubeMap.weaken(I, wctx), problem.a0)
     return fib.comp(Problem(wctx, z, e, new_path, new_phi, new_values, a0w))
 
 

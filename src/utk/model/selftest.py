@@ -14,14 +14,14 @@ from .interval import dm_all, dm_const, face_bot, face_eq_sym, face_or, face_top
 from .cset import (
     CSetMap, Cofibration, CubeMap, DiscreteCSet, IntervalCSet, ProductIntervalCSet,
     TotalCSet, cof_false, cof_interval_eq, cof_true, enumerate_contexts,
-    enumerate_maps, extend_clause_map, fst_map, validate_cset,
+    enumerate_maps, fst_map, validate_cset,
 )
 from .fib import (
     CompositionError, Fib, Problem, check_boundary, check_start_agreement,
     clause_stage, comp_sigma, fill_path,
 )
 from .constructions import (
-    ContrStruct, FibPath, MisalignedPath, StrictIso, coerce_along,
+    ContrStruct, FibPath, StrictIso, coerce_along,
     coerce_iso_witness, contract_path, endpoint_reindex,
     extend_from_contractible, identity_iso, improve, isofib, isopath, realign,
     reindex_fib, strictify, strictify_fib, veebar,
@@ -60,8 +60,7 @@ def enumerate_problems(fib: Fib, max_dim: int = 2):
                     pools = []
                     for clause in clauses:
                         stage = clause_stage(I, clause) | {z}
-                        gz = extend_clause_map(CubeMap.face(I, clause), z)
-                        gz_path = base.restrict(gz, path)
+                        gz_path = base.restrict(CubeMap.face(zctx, clause), path)
                         pools.append(family.sample_fiber(stage, gz_path))
                     count = 0
                     for a0 in starts:
@@ -122,8 +121,7 @@ def _run_check(report: Report, name: str, fn):
     try:
         violations = fn()
         if violations:
-            sample = violations[0]
-            report.add_error(name, f"{len(violations)} violations, first: {sample!r}"[:300],
+            report.add_error(name, f"{len(violations)} violations, first: {violations[0]!r}",
                              time.perf_counter() - t0)
         else:
             report.add_ok(name, time.perf_counter() - t0)
@@ -344,7 +342,7 @@ def check_paths(report: Report, max_dim: int):
         # a trivial misalignment: the constant line at A, identity isos
         line = reindex_fib(A, fst_map(ProductIntervalCSet(point)))
         ident = identity_iso(A.family)
-        return _endpoints(improve(MisalignedPath(line, ident, ident, A, A)), max_dim)
+        return _endpoints(improve(line, ident, ident, A, A), max_dim)
 
     _run_check(report, "improve/identity-endpoints", run_improve_trivial)
     _run_check(report, "isopath/endpoints", lambda: _endpoints(path, max_dim))

@@ -1,8 +1,12 @@
+import re
+
+import pytest
+
 from utk.model import cset as CS
 from utk.model import fib as FB
 from utk.model import fixtures as FX
 from utk.model.interval import (
-    ctx, dm_const, dm_eq, dm_neg, dm_sym, face_bot,
+    ctx, dm_const, dm_eq, dm_meet, dm_neg, dm_sym, face_bot,
     face_eq_sym, face_or, face_top,
 )
 
@@ -125,3 +129,25 @@ def test_problem_enumeration_respects_preconditions():
         assert FB.check_start_agreement(fib, problem)
         count += 1
     assert count > 0
+
+
+def test_restrict_partial_along_a_connection():
+    # {(i=0): 1} restricted along i := j /\ k is defined on (j=0) \/ (k=0),
+    # and each clause reads the one recorded value
+    point = CS.DiscreteCSet(["pt"])
+    w = FX.interval_fib(point)
+    JK = ctx("j", "k")
+    f = CS.CubeMap.make(I, JK, {"i": dm_meet(dm_sym(JK, "j"), dm_sym(JK, "k"))})
+    j0, k0 = frozenset({("j", 0)}), frozenset({("k", 0)})
+    got = FB.restrict_partial(w.family, "pt", [(frozenset({("i", 0)}), dm_const(E, 1))],
+                              f, [j0, k0])
+    assert got == {j0: dm_const(ctx("k"), 1), k0: dm_const(ctx("j"), 1)}
+
+
+def test_restrict_partial_names_an_uncovered_clause():
+    point = CS.DiscreteCSet(["pt"])
+    w = FX.interval_fib(point)
+    i1 = frozenset({("i", 1)})
+    with pytest.raises(FB.CompositionError, match=re.escape(str(sorted(i1)))):
+        FB.restrict_partial(w.family, "pt", [(frozenset({("i", 0)}), dm_const(E, 1))],
+                            CS.CubeMap.identity(I), [i1])

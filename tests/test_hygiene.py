@@ -48,9 +48,10 @@ def _uses(tree: ast.Module):
                 yield node.value, node.lineno
 
 
-def test_every_module_level_definition_has_a_use():
-    """A function or class of `utk` that nothing outside its own definition
-    names, in the package, its tests or the benchmark, is dead code."""
+def _definitions_without_a_use(definitions) -> list:
+    """The `path:line name` of each definition that `definitions(tree)`
+    picks from a module of `utk` and that nothing outside its own body
+    names, in the package, its tests or the benchmark."""
     paths = [*PACKAGE.rglob("*.py"), *TESTS.glob("*.py"),
              *(TESTS.parent / "perfbench").rglob("*.py")]
     trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
@@ -58,14 +59,30 @@ def test_every_module_level_definition_has_a_use():
     for path, tree in trees.items():
         for name, line in _uses(tree):
             uses[name].append((path, line))
-    dead = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and all(
-                    where == path and node.lineno <= line <= node.end_lineno
-                    for where, line in uses[node.name]):
-                dead.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
-    assert dead == []
+    return [f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for node in definitions(trees[path])
+            if all(where == path and node.lineno <= line <= node.end_lineno
+                   for where, line in uses[node.name])]
+
+
+def test_every_module_level_definition_has_a_use():
+    """A function or class of `utk` that nothing outside its own definition
+    names is dead code."""
+    assert _definitions_without_a_use(lambda tree: [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]) == []
+
+
+def test_every_method_has_a_use():
+    """A method of a `utk` class, dunders aside, that nothing outside its
+    own body names is dead code, such as a copy left behind when its
+    callers moved to a shared function."""
+    assert _definitions_without_a_use(lambda tree: [
+        item for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))]) == []
 
 
 def test_one_thread_and_one_recursion_limit():

@@ -10,6 +10,7 @@ from utk.model import cset as CS
 from utk.model import fib as FB
 from utk.model import fixtures as FX
 from utk.model import selftest as ST
+from utk.model.interval import ModelError
 from utk.report import Report
 
 
@@ -185,3 +186,63 @@ def test_endpoints_flags_a_veebar_stuck_at_one_side(monkeypatch):
     monkeypatch.setattr(CO, "_side", lambda rho: 0)
     violations = ST._endpoints(CO.FibPath(CO.veebar(A, B), A, B), 2)
     assert violations and all(v[0] == 1 for v in violations)
+
+
+def test_a_long_first_violation_is_reported_whole():
+    violation = ("boundary", "x" * 400)
+    report = Report()
+    ST._run_check(report, "long", lambda: [violation, violation])
+    assert report.entries[0].error == f"2 violations, first: {violation!r}"
+
+
+def keeps_values_across_stages(family, x, values, f, clauses):
+    """`fib.restrict_partial` with a planted fault: along a map other than
+    the identity, a value whose remainder changes its stage is kept
+    unrestricted.  Resolving at a clause stays right, so the boundary check
+    that filters enumerated problems still admits them."""
+    out = {}
+    for clause in clauses:
+        m = f.then(CS.CubeMap.face(f.dst, clause))
+        for c, v in values:
+            remainder = CS._factor(m, c)
+            if remainder is not None:
+                xc = family.base.restrict(CS.CubeMap.face(f.src, c), x)
+                out[clause] = (v if not f.is_identity() and remainder.src != remainder.dst
+                               else family.restrict(xc, remainder, v))
+                break
+    return out
+
+
+def plant_partial_fault(monkeypatch):
+    for module in (FB, CO):
+        monkeypatch.setattr(module, "restrict_partial", keeps_values_across_stages)
+
+
+def test_contraction_laws_flag_a_partial_restriction_fault(monkeypatch):
+    point = CS.DiscreteCSet(["pt"])
+
+    def laws():
+        family = CO.ContractionFamily(FX.interval_fib(point).family,
+                                      CS.ProductIntervalCSet(point))
+        return CS.validate_cset(family, 2, max_points=12, max_pairs=250)
+
+    assert laws() == []
+    plant_partial_fault(monkeypatch)
+    try:
+        violations = laws()
+    except ModelError:
+        return  # an element over the wrong stage may raise instead
+    assert violations
+
+
+def test_fill_and_contract_flag_a_partial_restriction_fault(model_report, monkeypatch):
+    rows = ["fill/pt/interval-fiber", "axiom-3-contract/pt/interval-fiber"]
+    status = {e.name: e.status for e in model_report.entries}
+    assert [status[name] for name in rows] == ["ok", "ok"]
+    fx = next(fx for fx in FX.builtin_fixtures() if fx.name == "pt/interval-fiber")
+    plant_partial_fault(monkeypatch)
+    report = Report()
+    ST.check_fill(report, [fx], 2)
+    ST._run_check(report, rows[1], lambda: ST._endpoints(
+        CO.contract_path(fx.fib, fx.contractible), 2))
+    assert [e.name for e in report.entries if e.status != "ok"] == rows
