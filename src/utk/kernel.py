@@ -204,7 +204,7 @@ class VNeutral:
     head: Union[VVar, VConst]
     spine: tuple = ()
     unfold: object = field(default=None, repr=False, compare=False)
-    mismatch: object = field(default=None, repr=False, compare=False)  # see _convert_glued
+    mismatch: object = field(default=None, repr=False, compare=False)  # see _spines_convert
 
 
 Value = Union[VUniverse, VPi, VLambda, VSigma, VPair, VUnit, VStar, VId, VRefl, VNeutral]
@@ -388,7 +388,7 @@ def quote(d: int, value: Value, type_v: Value, nodes: dict) -> Term:
     if cls is VNeutral or cls is VId:
         v = whnf(value)
         if v.__class__ is VNeutral:
-            return quote_neutral(d, v, nodes)[0]
+            return quote_neutral(d, v, nodes)
         if v.__class__ is VRefl and cls is VId:
             return _node(nodes, Refl, quote(d, v.point, ty.type, nodes))
     elif cls is VUniverse:
@@ -410,7 +410,7 @@ def quote_type(d: int, value: Value, nodes: dict) -> Term:
     v = whnf(value)
     cls = v.__class__
     if cls is VNeutral:
-        return quote_neutral(d, v, nodes)[0]
+        return quote_neutral(d, v, nodes)
     if cls is VSigma:
         x = fresh(d, v.first)
         return _node(nodes, Sigma, quote_type(d, v.first, nodes),
@@ -429,9 +429,9 @@ def quote_type(d: int, value: Value, nodes: dict) -> Term:
     raise KernelError(f"quote_type: not a type value: {value!r}")
 
 
-def quote_neutral(d: int, value: VNeutral, nodes: dict):
-    """Read back a rigid neutral; returns (term, type value of the whole
-    spine)."""
+def quote_neutral(d: int, value: VNeutral, nodes: dict) -> Term:
+    """Read back a rigid neutral, typing each spine item at the type of the
+    spine before it."""
     head = value.head
     spine = value.spine
     term: Term = S.var(d - 1 - head.lvl) if head.__class__ is VVar else _node(nodes, Constant, head.name)
@@ -460,7 +460,7 @@ def quote_neutral(d: int, value: VNeutral, nodes: dict):
             ty = motive.apply(item.lhs, item.rhs, VNeutral(head, spine[:i]))
         else:
             raise KernelError(f"quote_neutral: ill-typed spine item {item!r} at {ty!r}")
-    return term, ty
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +475,17 @@ def _glued(v: Value) -> bool:
     return v.__class__ is VNeutral and v.unfold is not None
 
 
-def _convert_glued(d: int, v1: Value, v2: Value, flex: bool, compare, *type_v) -> bool:
-    """Glued δ for `compare` (convert at type_v, convert_type or subtype)
-    when v1 or v2 is glued.  A failed spine comparison is remembered on v1,
-    so that unfoldings which expose the same pair again skip it: without
-    that, a chain of n such pairs costs n spine comparisons of up to n
-    steps each."""
+def _spines_convert(d: int, v1: Value, v2: Value) -> bool:
+    """Whether v1 and v2 are glued neutrals with one head whose spines
+    convert with nothing unfolded.  A failed spine comparison is remembered
+    on v1, so that unfoldings which expose the same pair again skip it:
+    without that, a chain of n such pairs costs n spine comparisons of up to
+    n steps each."""
     if _glued(v1) and _glued(v2) and v1.head.name == v2.head.name and v1.mismatch is not v2:
-        if convert_neutral(d, v1, v2, True) is not None:
+        if convert_neutral(d, v1, v2, True):
             return True
         v1.mismatch = v2
-    if flex:
-        return False
-    return compare(d, whnf(v1), whnf(v2), *type_v)
+    return False
 
 
 def convert(d: int, v1: Value, v2: Value, type_v: Value, flex: bool = False) -> bool:
@@ -497,9 +495,13 @@ def convert(d: int, v1: Value, v2: Value, type_v: Value, flex: bool = False) -> 
     cls = type_v.__class__
     if cls is VNeutral or cls is VId:
         if _glued(v1) or _glued(v2):
-            return _convert_glued(d, v1, v2, flex, convert, type_v)
+            if _spines_convert(d, v1, v2):
+                return True
+            if flex:
+                return False
+            v1, v2 = whnf(v1), whnf(v2)
         if v1.__class__ is VNeutral and v2.__class__ is VNeutral:
-            return convert_neutral(d, v1, v2, flex) is not None
+            return convert_neutral(d, v1, v2, flex)
         if v1.__class__ is VRefl and v2.__class__ is VRefl and cls is VId:
             return convert(d, v1.point, v2.point, type_v.type, flex)
         return False
@@ -518,16 +520,23 @@ def convert(d: int, v1: Value, v2: Value, type_v: Value, flex: bool = False) -> 
     raise KernelError(f"convert: not a type value: {type_v!r}")
 
 
-def convert_type(d: int, t1: Value, t2: Value, flex: bool = False) -> bool:
+def convert_type(d: int, t1: Value, t2: Value, flex: bool = False, sub: bool = False) -> bool:
+    """Conversion of two types; with `sub`, cumulativity, t1 <= t2: U_i <=
+    U_j for i <= j, and Pi codomains and Sigma components compare
+    covariantly.  Pi domains and Id types always compare by conversion."""
     if t1 is t2:
         return True
     if _glued(t1) or _glued(t2):
-        return _convert_glued(d, t1, t2, flex, convert_type)
+        if _spines_convert(d, t1, t2):
+            return True
+        if flex:
+            return False
+        t1, t2 = whnf(t1), whnf(t2)
     cls = t1.__class__
     if cls is not t2.__class__:
         return False
     if cls is VNeutral:
-        return convert_neutral(d, t1, t2, flex) is not None
+        return convert_neutral(d, t1, t2, flex)
     if cls is VId:
         a1 = t1.type
         return (
@@ -536,38 +545,38 @@ def convert_type(d: int, t1: Value, t2: Value, flex: bool = False) -> bool:
             and convert(d, t1.rhs, t2.rhs, a1, flex)
         )
     if cls is VSigma:
-        if not convert_type(d, t1.first, t2.first, flex):
+        if not convert_type(d, t1.first, t2.first, flex, sub):
             return False
         x = fresh(d, t1.first)
-        return convert_type(d + 1, t1.second.apply(x), t2.second.apply(x), flex)
+        return convert_type(d + 1, t1.second.apply(x), t2.second.apply(x), flex, sub)
     if cls is VUniverse:
-        return t1.level == t2.level
+        return t1.level <= t2.level if sub else t1.level == t2.level
     if cls is VPi:
         if not convert_type(d, t1.domain, t2.domain, flex):
             return False
         x = fresh(d, t1.domain)
-        return convert_type(d + 1, t1.codomain.apply(x), t2.codomain.apply(x), flex)
+        return convert_type(d + 1, t1.codomain.apply(x), t2.codomain.apply(x), flex, sub)
     return cls is VUnit
 
 
-def convert_neutral(d: int, n1: VNeutral, n2: VNeutral, flex: bool = False) -> Optional[Value]:
-    """Compare two neutrals by head and spine; on success return the type of
-    the common spine.  The prefix of n1's spine that a Snd or J type needs is
-    built only there, from `neutral(head)` with the same eliminators, so it is
-    glued if n1 is; only applications and projections reach a glued head."""
+def convert_neutral(d: int, n1: VNeutral, n2: VNeutral, flex: bool = False) -> bool:
+    """Compare two neutrals by head and spine.  The prefix of n1's spine that
+    a Snd or J type needs is built only there, from `neutral(head)` with the
+    same eliminators, so it is glued if n1 is; only applications and
+    projections reach a glued head."""
     head, other = n1.head, n2.head
     if head.__class__ is not other.__class__ or (
             head.lvl != other.lvl if head.__class__ is VVar else head.name != other.name):
-        return None
+        return False
     spine = n1.spine
     if len(spine) != len(n2.spine):
-        return None
+        return False
     ty = head.type
     prefix, built = None, 0
     for i, (i1, i2) in enumerate(zip(spine, n2.spine)):
         cls, t = i1.__class__, whnf(ty)
         if cls is not i2.__class__:
-            return None
+            return False
         if cls is SSnd or cls is SJ:
             prefix = prefix or neutral(head)
             for item in spine[built:i]:
@@ -577,7 +586,7 @@ def convert_neutral(d: int, n1: VNeutral, n2: VNeutral, flex: bool = False) -> O
         if cls is SApp and tcls is VPi:
             a1 = i1.arg
             if a1 is not i2.arg and not convert(d, force(a1), force(i2.arg), t.domain, flex):
-                return None
+                return False
             ty = t.codomain.apply(a1)
         elif cls is SFst and tcls is VSigma:
             ty = t.first
@@ -588,38 +597,21 @@ def convert_neutral(d: int, n1: VNeutral, n2: VNeutral, flex: bool = False) -> O
             x, y = fresh(d, a_ty), fresh(d + 1, a_ty)
             p = fresh(d + 2, VId(a_ty, x, y))
             if not convert_type(d + 3, m1.apply(x, y, p), i2.motive.apply(x, y, p), flex):
-                return None
+                return False
             bx = fresh(d, a_ty)
             if not convert(d + 1, i1.base.apply(bx), i2.base.apply(bx), m1.apply(bx, bx, VRefl(bx)), flex):
-                return None
+                return False
             if not convert(d, i1.lhs, i2.lhs, a_ty, flex) or not convert(d, i1.rhs, i2.rhs, a_ty, flex):
-                return None
+                return False
             ty = m1.apply(i1.lhs, i1.rhs, prefix)
         else:
-            return None
-    return ty
+            return False
+    return True
 
 
 def subtype(d: int, t1: Value, t2: Value) -> bool:
-    """Cumulativity: U_i <= U_j for i <= j, covariant Pi codomains and Sigma
-    components, conversion elsewhere."""
-    if _glued(t1) or _glued(t2):
-        return _convert_glued(d, t1, t2, False, subtype)
-    cls = t1.__class__
-    if cls is t2.__class__:
-        if cls is VUniverse:
-            return t1.level <= t2.level
-        if cls is VPi:
-            if not convert_type(d, t1.domain, t2.domain):
-                return False
-            x = fresh(d, t1.domain)
-            return subtype(d + 1, t1.codomain.apply(x), t2.codomain.apply(x))
-        if cls is VSigma:
-            if not subtype(d, t1.first, t2.first):
-                return False
-            x = fresh(d, t1.first)
-            return subtype(d + 1, t1.second.apply(x), t2.second.apply(x))
-    return convert_type(d, t1, t2)
+    """Cumulativity, t1 <= t2 (see `convert_type`)."""
+    return convert_type(d, t1, t2, False, True)
 
 
 # ---------------------------------------------------------------------------

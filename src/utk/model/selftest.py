@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import replace
 
 from ..report import Report
@@ -94,9 +95,7 @@ def fibs_equal(f1: Fib, f2: Fib, max_dim: int = 2) -> list:
     base = f1.base
     for I in enumerate_contexts(max_dim):
         for rho in base.cells(I):
-            a = sorted(map(repr, f1.family.fiber(I, rho)))
-            b = sorted(map(repr, f2.family.fiber(I, rho)))
-            if a != b:
+            if Counter(f1.family.fiber(I, rho)) != Counter(f2.family.fiber(I, rho)):
                 out.append(("fiber", I, rho))
                 continue
             sample = f1.family.sample_fiber(I, rho)

@@ -198,13 +198,21 @@ def h_chain_source(depth, body="x"):
             f"def h_chain : Id U1 ({lhs}) ({rhs}) := refl ({lhs})\n")
 
 
+def cumulative_chain_source(depth):
+    """`f : 1 -> ... -> U0` used at `1 -> ... -> U1`: cumulativity through
+    `depth` Pi codomains."""
+    arrows = "1 -> " * depth
+    return f"postulate f : {arrows}U0\ndef g : {arrows}U1 := f\n"
+
+
 @pytest.mark.parametrize("source", [
     nest_source,
     h_chain_source,
     # h unfolds to a Pi type whose domain is the next pair of the chain: the
     # work here is conversion, not evaluation
     lambda depth: h_chain_source(depth, "x -> 1"),
-], ids=["idf", "h", "h-pi"])
+    cumulative_chain_source,
+], ids=["idf", "h", "h-pi", "cumulative"])
 def test_checking_chains_is_linear(tmp_path, monkeypatch, source):
     """Evaluations plus conversions at most 2.5 times over when the chain
     doubles; counted by wrapping the module globals."""
