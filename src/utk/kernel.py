@@ -33,12 +33,9 @@ class KernelError(Exception):
 
 
 class TypeMismatchError(KernelError):
-    """Carries the expected and inferred normal forms."""
+    """Names the expected and inferred normal forms in its message."""
 
     def __init__(self, expected: Term, inferred: Term, names: list):
-        self.expected = expected
-        self.inferred = inferred
-        self.names = names
         exp = S.pretty_print(expected, names)
         got = S.pretty_print(inferred, names)
         super().__init__(f"type mismatch: expected {exp}, got {got}")
@@ -367,6 +364,49 @@ def fresh(lvl: int, type_v: Value) -> VNeutral:
     return VNeutral(VVar(lvl, type_v))
 
 
+def _j_vars(d: int, a_ty: Value) -> tuple:
+    """J's variables at depth d over `a_ty`: the motive's x, y and
+    p : Id a_ty x y.  The base binds x alone, so its x is the motive's."""
+    x, y = fresh(d, a_ty), fresh(d + 1, a_ty)
+    return x, y, fresh(d + 2, VId(a_ty, x, y))
+
+
+# The type former that each spine item eliminates.
+_ELIMINATES = {SApp: VPi, SFst: VSigma, SSnd: VSigma, SJ: VId}
+
+
+def _spine_types(n: VNeutral):
+    """Yield each item of n's spine with the type it eliminates, in whnf, or
+    with None if the item does not fit that type, which ends the walk.  The
+    type after an item is computed only when another item follows.  The
+    prefix that a Snd or J type needs is built only there, from
+    `neutral(head)` with the same eliminators, so it is glued if n is; only
+    applications and projections reach a glued head."""
+    head, spine = n.head, n.spine
+    ty, prefix, built, last = head.type, None, 0, len(spine) - 1
+    for i, item in enumerate(spine):
+        t, cls = whnf(ty), item.__class__
+        if t.__class__ is not _ELIMINATES[cls]:
+            yield item, None
+            return
+        yield item, t
+        if i == last:
+            return
+        if cls is SApp:
+            ty = t.codomain.apply(item.arg)
+        elif cls is SFst:
+            ty = t.first
+        else:
+            prefix = prefix or neutral(head)
+            for done in spine[built:i]:
+                prefix = _extend(prefix, done)
+            built = i
+            if cls is SSnd:
+                ty = t.second.apply(do_fst(prefix))
+            else:
+                ty = item.motive.apply(item.lhs, item.rhs, prefix)
+
+
 # ---------------------------------------------------------------------------
 # Quoting (type-directed readback; produces eta-long beta normal forms, with
 # every transparent constant unfolded)
@@ -430,36 +470,27 @@ def quote_type(d: int, value: Value, nodes: dict) -> Term:
 
 
 def quote_neutral(d: int, value: VNeutral, nodes: dict) -> Term:
-    """Read back a rigid neutral, typing each spine item at the type of the
-    spine before it."""
+    """Read back a rigid neutral, typing each spine item at the type it
+    eliminates."""
     head = value.head
-    spine = value.spine
     term: Term = S.var(d - 1 - head.lvl) if head.__class__ is VVar else _node(nodes, Constant, head.name)
-    ty = head.type
-    for i, item in enumerate(spine):
-        t = whnf(ty)
-        cls, tcls = item.__class__, t.__class__
-        if cls is SApp and tcls is VPi:
+    for item, t in _spine_types(value):
+        cls = item.__class__
+        if t is None:
+            raise KernelError(f"quote_neutral: ill-typed spine item {item!r} on {head!r}")
+        if cls is SApp:
             term = _node(nodes, Apply, term, quote(d, force(item.arg), t.domain, nodes))
-            ty = t.codomain.apply(item.arg)
-        elif cls is SFst and tcls is VSigma:
+        elif cls is SFst:
             term = _node(nodes, Fst, term)
-            ty = t.first
-        elif cls is SSnd and tcls is VSigma:
+        elif cls is SSnd:
             term = _node(nodes, Snd, term)
-            ty = t.second.apply(do_fst(VNeutral(head, spine[:i])))
-        elif cls is SJ and tcls is VId:
+        else:
             a_ty, motive = t.type, item.motive
-            x, y = fresh(d, a_ty), fresh(d + 1, a_ty)
-            p = fresh(d + 2, VId(a_ty, x, y))
+            x, y, p = _j_vars(d, a_ty)
             motive_t = quote_type(d + 3, motive.apply(x, y, p), nodes)
-            bx = fresh(d, a_ty)
-            base_t = quote(d + 1, item.base.apply(bx), motive.apply(bx, bx, VRefl(bx)), nodes)
+            base_t = quote(d + 1, item.base.apply(x), motive.apply(x, x, VRefl(x)), nodes)
             lhs, rhs = quote(d, item.lhs, a_ty, nodes), quote(d, item.rhs, a_ty, nodes)
             term = _node(nodes, J, motive_t, base_t, lhs, rhs, term, item.hints)
-            ty = motive.apply(item.lhs, item.rhs, VNeutral(head, spine[:i]))
-        else:
-            raise KernelError(f"quote_neutral: ill-typed spine item {item!r} at {ty!r}")
     return term
 
 
@@ -560,52 +591,31 @@ def convert_type(d: int, t1: Value, t2: Value, flex: bool = False, sub: bool = F
 
 
 def convert_neutral(d: int, n1: VNeutral, n2: VNeutral, flex: bool = False) -> bool:
-    """Compare two neutrals by head and spine.  The prefix of n1's spine that
-    a Snd or J type needs is built only there, from `neutral(head)` with the
-    same eliminators, so it is glued if n1 is; only applications and
-    projections reach a glued head."""
+    """Compare two neutrals by head and spine, each item pair at the type
+    that n1's item eliminates."""
     head, other = n1.head, n2.head
     if head.__class__ is not other.__class__ or (
             head.lvl != other.lvl if head.__class__ is VVar else head.name != other.name):
         return False
-    spine = n1.spine
-    if len(spine) != len(n2.spine):
+    if len(n1.spine) != len(n2.spine):
         return False
-    ty = head.type
-    prefix, built = None, 0
-    for i, (i1, i2) in enumerate(zip(spine, n2.spine)):
-        cls, t = i1.__class__, whnf(ty)
-        if cls is not i2.__class__:
+    for (i1, t), i2 in zip(_spine_types(n1), n2.spine):
+        cls = i1.__class__
+        if t is None or cls is not i2.__class__:
             return False
-        if cls is SSnd or cls is SJ:
-            prefix = prefix or neutral(head)
-            for item in spine[built:i]:
-                prefix = _extend(prefix, item)
-            built = i
-        tcls = t.__class__
-        if cls is SApp and tcls is VPi:
+        if cls is SApp:
             a1 = i1.arg
             if a1 is not i2.arg and not convert(d, force(a1), force(i2.arg), t.domain, flex):
                 return False
-            ty = t.codomain.apply(a1)
-        elif cls is SFst and tcls is VSigma:
-            ty = t.first
-        elif cls is SSnd and tcls is VSigma:
-            ty = t.second.apply(do_fst(prefix))
-        elif cls is SJ and tcls is VId:
+        elif cls is SJ:
             a_ty, m1 = t.type, i1.motive
-            x, y = fresh(d, a_ty), fresh(d + 1, a_ty)
-            p = fresh(d + 2, VId(a_ty, x, y))
+            x, y, p = _j_vars(d, a_ty)
             if not convert_type(d + 3, m1.apply(x, y, p), i2.motive.apply(x, y, p), flex):
                 return False
-            bx = fresh(d, a_ty)
-            if not convert(d + 1, i1.base.apply(bx), i2.base.apply(bx), m1.apply(bx, bx, VRefl(bx)), flex):
+            if not convert(d + 1, i1.base.apply(x), i2.base.apply(x), m1.apply(x, x, VRefl(x)), flex):
                 return False
             if not convert(d, i1.lhs, i2.lhs, a_ty, flex) or not convert(d, i1.rhs, i2.rhs, a_ty, flex):
                 return False
-            ty = m1.apply(i1.lhs, i1.rhs, prefix)
-        else:
-            return False
     return True
 
 
@@ -615,21 +625,20 @@ def subtype(d: int, t1: Value, t2: Value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bidirectional checking.  `Checker` carries the environment (values) and the
-# context types in lockstep.
+# Bidirectional checking.  The context is the environment: each entry is a
+# fresh variable, whose head carries its type.
 
 
 class Checker:
-    def __init__(self, scope: GlobalScope, names=None, types=None, env=None):
+    def __init__(self, scope: GlobalScope, names=None, env=None):
         self.scope = scope
         self.names = names or []  # printing hints, outermost first
-        self.types = types or []  # Value types, outermost first
-        self.env = tuple(env or ())
-        self.depth = len(self.types)
+        self.env = tuple(env or ())  # fresh variables, outermost first
+        self.depth = len(self.env)
 
     def bind(self, hint: str, type_v: Value) -> "Checker":
         x = fresh(self.depth, type_v)
-        return Checker(self.scope, self.names + [hint], self.types + [type_v], self.env + (x,))
+        return Checker(self.scope, self.names + [hint], self.env + (x,))
 
     def eval(self, term: Term) -> Value:
         return evaluate(self.scope, self.env, term)
@@ -640,7 +649,7 @@ class Checker:
             ix = term.ix
             if not (0 <= ix < self.depth):
                 raise S.MalformedTermError(f"unbound variable index {ix}")
-            return self.types[self.depth - 1 - ix]
+            return self.env[self.depth - 1 - ix].head.type
         if cls is Apply:
             ft = self._infer_as(VPi, term.fn, "cannot apply a term of non-function type")
             self.check(term.arg, ft.domain)
@@ -689,16 +698,12 @@ class Checker:
             self.check(r, a_ty)
             lv, rv = self.eval(l), self.eval(r)
             self.check(pr, VId(a_ty, lv, rv))
-            hx, hy, hp, _ = term.hints
-            cx = self.bind(hx, a_ty)
-            cy = cx.bind(hy, a_ty)
-            x, y = cx.env[-1], cy.env[-1]
-            cp = cy.bind(hp, VId(a_ty, x, y))
-            cp.infer_universe(m)
+            hx, hy, hp, hb = term.hints
+            x, y, p = _j_vars(self.depth, a_ty)
+            Checker(self.scope, self.names + [hx, hy, hp], self.env + (x, y, p)).infer_universe(m)
             motive = Closure(self.env, m, self.scope)
-            cb = self.bind(hx, a_ty)
-            bx = cb.env[-1]
-            cb.check(b, motive.apply(bx, bx, VRefl(bx)))
+            Checker(self.scope, self.names + [hb], self.env + (x,)).check(
+                b, motive.apply(x, x, VRefl(x)))
             return motive.apply(lv, rv, self.eval(pr))
         if cls is Star:
             return V_UNIT
@@ -732,23 +737,15 @@ class Checker:
     def infer_universe(self, term: Term) -> int:
         return self._infer_as(VUniverse, term, "expected a universe, got").level
 
-    def solve_placeholder(self, type_v: Value, d: int = None) -> Term:
-        """Inhabit a definitional singleton type; the solution is closed."""
-        d = self.depth if d is None else d
-        ty = whnf(type_v)
-        cls = ty.__class__
-        if cls is VUnit:
-            return S.STAR
-        if cls is VSigma:
-            a = self.solve_placeholder(ty.first, d)
-            av = evaluate(self.scope, (), a)
-            return Pair(a, self.solve_placeholder(ty.second.apply(av), d))
-        if cls is VPi:
-            body = self.solve_placeholder(ty.codomain.apply(fresh(d, ty.domain)), d + 1)
-            return Lambda(body, ty.hint if ty.hint != "_" else "x")
-        raise UnsolvablePlaceholderError(
-            "placeholder not determined by its expected type "
-            + S.pretty_print(quote_type(d, type_v, {}), self.names + ["?"] * (d - self.depth)))
+    def solve_placeholder(self, type_v: Value) -> Term:
+        """Inhabit a definitional singleton type: the eta-long form of a
+        variable of that type, which mentions no variable exactly when the
+        type is a singleton.  The solution is closed."""
+        solution = quote(self.depth + 1, fresh(self.depth, type_v), type_v, {})
+        if not S.validate(solution, 0):
+            raise UnsolvablePlaceholderError(
+                "placeholder not determined by its expected type " + self._show(type_v))
+        return solution
 
     def check(self, term: Term, type_v: Value):
         ty = whnf(type_v)

@@ -4,9 +4,10 @@ An element of the free De Morgan algebra is its valuation table: its value
 in the four-element De Morgan algebra DM4 under every valuation of the
 sorted generators.  Every De Morgan algebra embeds into a power of DM4, so
 tables decide equality and order, and the table is the canonical form.
-Because DM4 evaluation is a homomorphism, substitution is a lookup: the
-substituted element's value at a valuation is the original's value at the
-valuation the assigned elements take there.
+Substitution is a homomorphism, so it maps the element's normal form (a
+join of meets of literals) one literal at a time: each literal becomes the
+table of its assigned element or of that element's negation, and the meets
+and the join are taken on the tables.
 
 Face formulas (cofibrant propositions) are decided the same way over
 three-valued valuations {0, 1, generic}: the face lattice is the free

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import replace
 
 from ..report import Report
-from .interval import dm_all, dm_const, face_bot, face_eq_sym, face_or, face_top
+from .interval import dm_all, face_bot, face_eq_sym, face_or, face_top
 from .cset import (
     CSetMap, Cofibration, CubeMap, DiscreteCSet, IntervalCSet, ProductIntervalCSet,
     TotalCSet, cof_false, cof_interval_eq, cof_true, enumerate_contexts,
@@ -328,12 +328,8 @@ def check_paths(report: Report, max_dim: int):
                lambda: _endpoints(FibPath(vee, A, B), max_dim))
 
     def run_case_split():
-        out = []
-        for problem in enumerate_problems(endpoint_reindex(vee, point, 0), max_dim):
-            pushed = replace(problem, path=(problem.path, dm_const(problem.zctx, 0)))
-            if vee.comp(pushed) != A.comp(problem):
-                out.append(problem)
-        return out
+        at0 = endpoint_reindex(vee, point, 0)
+        return comps_agree(at0, A, enumerate_problems(at0, max_dim))
 
     _run_check(report, "veebar/case-split", run_case_split)
 

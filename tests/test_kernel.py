@@ -205,6 +205,14 @@ def cumulative_chain_source(depth):
     return f"postulate f : {arrows}U0\ndef g : {arrows}U1 := f\n"
 
 
+def counted(fn, calls):
+    """`fn`, adding one to `calls[0]` per call."""
+    def wrapper(*args):
+        calls[0] += 1
+        return fn(*args)
+    return wrapper
+
+
 @pytest.mark.parametrize("source", [
     nest_source,
     h_chain_source,
@@ -217,14 +225,8 @@ def test_checking_chains_is_linear(tmp_path, monkeypatch, source):
     """Evaluations plus conversions at most 2.5 times over when the chain
     doubles; counted by wrapping the module globals."""
     calls = [0]
-
-    def counted(fn):
-        def wrapper(*args):
-            calls[0] += 1
-            return fn(*args)
-        return wrapper
     for name in ("evaluate", "convert", "convert_type"):
-        monkeypatch.setattr(K, name, counted(getattr(K, name)))
+        monkeypatch.setattr(K, name, counted(getattr(K, name), calls))
     counts = []
     for depth in (500, 1000):
         path = tmp_path / f"chain-{depth}.tt"
@@ -233,6 +235,26 @@ def test_checking_chains_is_linear(tmp_path, monkeypatch, source):
         assert cli.run_cli(["check", str(path), "--json"]) == 0
         counts.append(calls[0])
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+def test_spine_walks_skip_the_type_after_the_last_item(monkeypatch):
+    """Readback and conversion of `f a a a` evaluate f's type only as far as
+    its last domain: `P x y z`, the type after the last argument, is never
+    evaluated.  Each makes four `evaluate` calls, two per inner Pi."""
+    src = ("postulate A : U0\npostulate a : A\npostulate P : A -> A -> A -> U0\n"
+           "postulate f : (x : A) -> (y : A) -> (z : A) -> P x y z\n")
+    _, scope, _, failure = E.elaborate_and_check(P.parse_program(src))
+    assert failure is None
+    term = E.elab_term(P.parse_term("f a a a"), [], scope.entries.keys())
+    v1, v2 = K.evaluate(scope, (), term), K.evaluate(scope, (), term)
+    ty = K.evaluate(scope, (), E.elab_term(P.parse_term("P a a a"), [], scope.entries.keys()))
+    calls = [0]
+    monkeypatch.setattr(K, "evaluate", counted(K.evaluate, calls))
+    assert K.quote(0, v1, ty, {}) == term
+    assert calls[0] == 4
+    calls[0] = 0
+    assert v1 is not v2 and K.convert(0, v1, v2, ty)
+    assert calls[0] == 4
 
 
 # Each kernel function ends in a typed error for a value or term it does not
@@ -247,6 +269,8 @@ FALL_THROUGHS = [
     (lambda: K.quote(0, K.V_STAR, K.VId(K.V_UNIT, K.V_STAR, K.V_STAR), {}), K.KernelError,
      "quote: value VStar() does not fit type VId(type=VUnit(), lhs=VStar(), rhs=VStar())"),
     (lambda: K.quote_type(0, K.V_STAR, {}), K.KernelError, "quote_type: not a type value: VStar()"),
+    (lambda: K.quote_neutral(1, K.VNeutral(K.VVar(0, K.V_UNIT), (K.SApp(K.V_STAR),)), {}),
+     K.KernelError, "quote_neutral: ill-typed spine item SApp(arg=VStar()) on VVar(lvl=0, type=VUnit())"),
     (lambda: S.pretty_print(Pair(Star(), "star"), []),
      S.MalformedTermError, "not a term: 'star'"),
 ]
@@ -254,7 +278,7 @@ FALL_THROUGHS = [
 
 @pytest.mark.parametrize("call, error, message", FALL_THROUGHS,
                          ids=["evaluate", "do_apply", "do_fst", "do_snd", "quote",
-                              "quote_type", "pretty_print"])
+                              "quote_type", "quote_neutral", "pretty_print"])
 def test_fall_through_errors_stay_typed(call, error, message):
     with pytest.raises(error) as caught:
         call()

@@ -55,6 +55,38 @@ PROBES = {
         def bad : (A : U0) -> (a : A) -> (p : Id A a a) -> (q : Id A a a) -> Id (Id A a a) p q
           := \\A a p q -> refl p
     """,
+    # Two J neutrals convert only when their motives do, compared under
+    # fresh x, y and p.  Weakening: skip the motives.  These two agree at
+    # the endpoints a, a and differ at x, y.
+    "neutral-j-motive-distinct": """
+        postulate A : U0
+        postulate F : A -> U0
+        postulate f : (x : A) -> F x
+        def bad : (a : A) -> (q : Id A a a)
+            -> Id (F a) (J (\\x y p -> F x) (\\x -> f x) a a q) (J (\\x y p -> F y) (\\x -> f x) a a q)
+          := \\a q -> refl (J (\\x y p -> F x) (\\x -> f x) a a q)
+    """,
+    # ... and only when their bases do, compared under a fresh x.
+    # Weakening: skip the bases.
+    "neutral-j-base-distinct": """
+        postulate A : U0
+        def bad : (a : A) -> (q : Id A a a)
+            -> Id A (J (\\x y p -> A) (\\x -> x) a a q) (J (\\x y p -> A) (\\x -> a) a a q)
+          := \\a q -> refl (J (\\x y p -> A) (\\x -> x) a a q)
+    """,
+    # snd s has the second component's type at fst s.  Weakening: take it
+    # at any point of the first component's type.
+    "snd-types-through-fst": """
+        def bad : (A : U0) -> (B : A -> U0) -> (a : A) -> (s : (x : A) * B x) -> B a
+          := \\A B a s -> snd s
+    """,
+    # A placeholder is solved only at a definitional singleton: its solution
+    # is the eta-long form of a variable, and must mention no variable.
+    # Weakening: accept an open solution, or stop at the solved first
+    # component.
+    "placeholder-sigma-not-singleton": """
+        def bad : (x : 1) * U0 := _
+    """,
 }
 
 
@@ -68,7 +100,9 @@ def test_kernel_rejects_probe(rule):
 
 
 # Cumulativity: U0 <= U1 lifts through each covariant position.  Each
-# program fails if that position compares by conversion instead.
+# program fails if that position compares by conversion instead.  The last
+# program solves a placeholder whose type is a singleton only after eta for
+# both Sigma and Pi.
 ACCEPTED = {
     "pi-codomain-covariant": """
         def f : 1 -> U0 := \\x -> 1
@@ -81,6 +115,9 @@ ACCEPTED = {
     "sigma-second-covariant": """
         def a : (x : 1) * U0 := (*, 1)
         def ok : (x : 1) * U1 := a
+    """,
+    "placeholder-singleton": """
+        def ok : (x : 1) * (1 -> 1) := _
     """,
 }
 

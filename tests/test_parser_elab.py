@@ -232,6 +232,15 @@ MALFORMED = [
     (P.parse_term, "J (f _) b x y p", "1:1: not a term: Hole(line=1, col=6, solution=None)"),
     (lambda src: E.elaborate(P.parse_program(src)), "def u : U0 -> U0 := \\A -> _",
      "u: placeholder not determined by its expected type U0"),
+    # the message names the whole expected type, not the part that is not a
+    # singleton
+    (lambda src: E.elaborate(P.parse_program(src)), "def u : 1 -> U0 := _",
+     "u: placeholder not determined by its expected type (_ : 1) -> U0"),
+    # the J base is checked under its own binder's name
+    (lambda src: E.elaborate(P.parse_program(src)),
+     "postulate A : U0\npostulate B : A -> U0\npostulate a : A\npostulate q : Id A a a\n"
+     "def bad : B a := J (\\x y p -> B x) (\\u -> u) a a q",
+     "bad: type mismatch: expected B u, got A"),
     (lambda src: E.elaborate(P.parse_program(src)), "def u : U1 := _ U0",
      "u: placeholder in a position with no expected type"),
 ]
