@@ -3,7 +3,7 @@ the scope, check them, and fill their placeholders.
 
 Elaboration is not a solver: the only type-directed step is filling `_`
 placeholders whose expected type is a definitional singleton (Unit, or a
-Sigma/Pi of singletons), which `check` resolves in place.
+Sigma/Pi of singletons), whose solutions `check` records in the scope.
 """
 
 from __future__ import annotations
@@ -24,16 +24,15 @@ class UnboundIdentifierError(ElabError):
     pass
 
 
-def elab_term(term: Term, binders: list, constants, holes: list = None) -> Term:
+def elab_term(term: Term, binders: list, constants) -> Term:
     """Resolve the names the parser left as constants: one named in
     `binders`, the enclosing binder names (innermost last), becomes its
-    `Var`; any other must be in `constants`.  Placeholders are kept, and
-    appended to `holes` if given."""
+    `Var`; any other must be in `constants`.  Placeholders are kept."""
     index = {name: len(binders) - 1 - i for i, name in enumerate(binders)}
 
     def resolve(term: Term, depth: int) -> Term:
         cls = term.__class__
-        if cls is Var:
+        if cls is Var or cls is Hole:
             return term
         if cls is Constant:
             name = term.name
@@ -42,30 +41,25 @@ def elab_term(term: Term, binders: list, constants, holes: list = None) -> Term:
             if name not in constants:
                 raise UnboundIdentifierError(f"unbound identifier: {name}")
             return term
-        if cls is Hole:
-            if holes is not None:
-                holes.append(term)
-            return term
         return S.map_subterms(term, resolve, depth)
 
     return resolve(term, 0)
 
 
-def _zonk(term: Term) -> Term:
-    """Replace solved holes by their solutions.  A subterm without holes is
+def _zonk(term: Term, solutions: dict) -> Term:
+    """Replace holes by their `solutions`.  A subterm without holes is
     returned as it is, so a hole-free declaration is not copied."""
     if isinstance(term, Hole):
-        if term.solution is None:
-            raise K.UnsolvablePlaceholderError(
-                f"{term.line}:{term.col}: unsolved placeholder")
-        return term.solution
-    return S.map_subterms(term, lambda sub, _: _zonk(sub))
+        return solutions[term]
+    return S.map_subterms(term, lambda sub, _: _zonk(sub, solutions))
 
 
 def elaborate_and_check(decls, opaque=frozenset()):
     """Elaborate and check parsed declarations in order, stopping at the
     first that fails.  Placeholders are solved against the expected types
-    seen by the checker, then replaced by their solutions.
+    seen by the checker, then replaced by their solutions.  Checking visits
+    every subterm, so a declaration has holes exactly when the scope's
+    table of solutions grew while it was checked.
 
     Returns (core declarations, the checked GlobalScope, a Report with one
     row per declaration reached, and the DeclarationError of the failing
@@ -77,16 +71,17 @@ def elaborate_and_check(decls, opaque=frozenset()):
     for decl in decls:
         t0 = time.perf_counter()
         try:
-            constants, holes = scope.entries.keys(), []
+            constants, solved = scope.entries.keys(), len(scope.solutions)
             decl = Declaration(
-                decl.name, elab_term(decl.type, [], constants, holes),
-                None if decl.body is None else elab_term(decl.body, [], constants, holes),
+                decl.name, elab_term(decl.type, [], constants),
+                None if decl.body is None else elab_term(decl.body, [], constants),
                 opaque=decl.name in opaque,
             )
             entry = K.check_declaration(scope, decl)
-            if holes:
+            if len(scope.solutions) > solved:
                 decl = Declaration(
-                    decl.name, _zonk(decl.type), None if decl.body is None else _zonk(decl.body),
+                    decl.name, _zonk(decl.type, scope.solutions),
+                    None if decl.body is None else _zonk(decl.body, scope.solutions),
                     opaque=decl.opaque,
                 )
             scope.add(decl.name, entry)  # a name declared in an earlier file fails here

@@ -220,10 +220,12 @@ class ScopeEntry:
 
 
 class GlobalScope:
-    """Checked declarations, in dependency order."""
+    """Checked declarations, in dependency order, and the solution checking
+    found for each placeholder, keyed by its `Hole`."""
 
     def __init__(self):
         self.entries: dict = {}
+        self.solutions: dict = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self.entries
@@ -284,8 +286,8 @@ def evaluate(scope: GlobalScope, env: tuple, term: Term) -> Value:
         return V_STAR
     if cls is Annot:
         return evaluate(scope, env, term.term)
-    if cls is S.Hole and term.solution is not None:
-        return evaluate(scope, env, term.solution)
+    if cls is S.Hole and term in scope.solutions:
+        return evaluate(scope, env, scope.solutions[term])
     raise S.MalformedTermError(f"not a term: {term!r}")
 
 
@@ -774,7 +776,7 @@ class Checker:
                     quote_type(self.depth, type_v, {}),
                     quote_type(self.depth, VId(ty.type, pv, pv), {}), self.names)
         elif cls is S.Hole:
-            term.solution = self.solve_placeholder(type_v)
+            self.scope.solutions[term] = self.solve_placeholder(type_v)
         else:
             inferred = self.infer(term)
             if not subtype(self.depth, inferred, type_v):

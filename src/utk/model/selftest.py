@@ -1,7 +1,9 @@
 """The model self-test: checks of the construction equations on the fixture
-library, reported per check.  They sample: 64 problems per stage, path, end
-and formula, 200 for `fill/*`, 400 problems and 12 maps per stage in
-`fibs_equal`, 20 maps in `cofibration-closure`, and `validate_cset`'s caps."""
+library, reported per check.  Most are a composition check (`_boundary`), an
+endpoint check (`_endpoints`) or a coercion-witness check (`_witness`).  They
+sample: 64 problems per stage, path, end and formula, 200 for `fill/*`, 400
+problems and 12 maps per stage in `fibs_equal`, 20 maps in
+`cofibration-closure`, and `validate_cset`'s caps."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from collections import Counter
 from dataclasses import replace
 
 from ..report import Report
-from .interval import dm_all, face_bot, face_eq_sym, face_or, face_top
+from .interval import ModelError, dm_all, face_bot, face_eq_sym, face_or, face_top
 from .cset import (
     CSetMap, Cofibration, CubeMap, DiscreteCSet, IntervalCSet, ProductIntervalCSet,
     TotalCSet, cof_false, cof_interval_eq, cof_true, enumerate_contexts,
@@ -46,10 +48,11 @@ def enumerate_problems(fib: Fib, max_dim: int = 2):
     """Composition problems over the fixture, in the direction z: all stages
     below the dimension bound, every sampled path, every library formula,
     and every compatible assignment of partial values and starting points
-    (at most 64 per stage, path, end and formula)."""
+    (at most 64 per stage, path, end and formula).  Raises if there is none."""
     base = fib.base
     family = fib.family
     z = "z"
+    yielded = 0
     for I in enumerate_contexts(max_dim - 1):
         zctx = I | {z}
         for path in base.cells(zctx):
@@ -73,9 +76,12 @@ def enumerate_problems(fib: Fib, max_dim: int = 2):
                             count += 1
                             if count > 64:
                                 break
+                            yielded += 1
                             yield problem
                         if count > 64:
                             break
+    if not yielded:
+        raise ModelError(f"no composition problem up to dimension {max_dim}")
 
 
 def comps_agree(f1: Fib, f2: Fib, problems) -> list:
@@ -128,15 +134,26 @@ def _run_check(report: Report, name: str, fn):
         report.add_error(name, f"exception: {exc}", time.perf_counter() - t0)
 
 
-# The three check shapes most checks are built from.
+# The three check shapes: composition, endpoints and the coercion witness.
 
 
-def _boundary(fib: Fib, max_dim: int) -> list:
-    """Boundary violations of fib's composition on every enumerated problem."""
+def _boundary(fib: Fib, max_dim: int, want=None) -> list:
+    """Boundary violations of fib's composition on every enumerated problem,
+    and each problem where `want(problem)` returns a result it differs from."""
     out = []
     for problem in enumerate_problems(fib, max_dim):
-        out.extend(check_boundary(fib, problem, fib.comp(problem)))
+        result = fib.comp(problem)
+        out.extend(check_boundary(fib, problem, result))
+        expected = None if want is None else want(problem)
+        if expected is not None and result != expected:
+            out.append(("differs", problem, result, expected))
     return out
+
+
+def _inside(cof: Cofibration, fib: Fib):
+    """The restriction equation: fib's composition where the whole path lies
+    in cof, and no expected result elsewhere."""
+    return lambda p: fib.comp(p) if cof.face(p.zctx, p.path).is_top else None
 
 
 def _endpoints(path: FibPath, max_dim: int) -> list:
@@ -213,19 +230,9 @@ def check_fill(report: Report, fixtures, max_dim: int):
 def check_realign(report: Report, max_dim: int):
     fib = FX.discrete_fib(IntervalCSet(), ["x", "y"])
     for cof in _COFIBRATIONS:
-        def run(cof=cof):
-            realigned = realign(cof, fib, fib)
-            out = []
-            for problem in enumerate_problems(fib, max_dim):
-                in_region = cof.face(problem.zctx, problem.path).is_top
-                r = realigned.comp(problem)
-                out.extend(("boundary",) + v
-                           for v in check_boundary(fib, problem, r))
-                if in_region and r != fib.comp(problem):
-                    out.append(("restriction-equation", problem))
-            return out
-
-        _run_check(report, f"realign/restriction/{cof.name}", run)
+        _run_check(report, f"realign/restriction/{cof.name}",
+                   lambda cof=cof: _boundary(realign(cof, fib, fib), max_dim,
+                                             _inside(cof, fib)))
 
     # reindexing stability along the interval endomaps
     cof = cof_interval_eq(0)
@@ -249,20 +256,10 @@ def check_isofib(report: Report, max_dim: int):
 
     swap = {"x": "y", "y": "x"}
     swapped = isofib(_swap_iso(FX.discrete_fib(point, ["x", "y"]), swap), fib)
-
-    def run_swap():
-        out = []
-        for problem in enumerate_problems(swapped, max_dim):
-            result = swapped.comp(problem)
-            expected = swap[fib.comp(replace(
-                problem, a0=swap[problem.a0],
-                values={c: swap[v] for c, v in problem.values.items()}))]
-            if result != expected:
-                out.append((problem, result, expected))
-            out.extend(check_boundary(swapped, problem, result))
-        return out
-
-    _run_check(report, "isofib/swap-conjugation", run_swap)
+    _run_check(report, "isofib/swap-conjugation", lambda: _boundary(
+        swapped, max_dim, lambda problem: swap[fib.comp(replace(
+            problem, a0=swap[problem.a0],
+            values={c: swap[v] for c, v in problem.values.items()}))]))
 
 
 def check_strictify(report: Report, max_dim: int):
@@ -270,47 +267,35 @@ def check_strictify(report: Report, max_dim: int):
     B = FX.discrete_fib(iv, ["x", "y"])
     A = FX.discrete_fib(iv, ["u", "v"])
     iso = _swap_iso(A, {"u": "x", "v": "y"})
+
+    def strict_data(cof, family, iso2):
+        """A's fibers inside cof, B's outside; iso2 is iso inside, id outside, bwd its inverse."""
+        for I in enumerate_contexts(max_dim):
+            for rho in iv.cells(I):
+                inside = cof.holds(I, rho)
+                if Counter(family.fiber(I, rho)) != Counter(
+                        (A if inside else B).family.fiber(I, rho)):
+                    yield ("fiber", I, rho)
+                for a in family.fiber(I, rho):
+                    image = iso2.fwd(I, rho, a)
+                    if image != (iso.fwd(I, rho, a) if inside else a):
+                        yield ("iso-extends", I, rho, a)
+                    if iso2.bwd(I, rho, image) != a:
+                        yield ("iso-retract", I, rho, a)
+
     for cof in _COFIBRATIONS:
         def run(cof=cof):
             family, iso2 = strictify(cof, A.family, B.family, iso)
-            out = validate_cset(family, max_dim, max_points=12, max_pairs=250)
-            for I in enumerate_contexts(max_dim):
-                for rho in iv.cells(I):
-                    inside = cof.holds(I, rho)
-                    got = sorted(family.fiber(I, rho))
-                    want = sorted((A if inside else B).family.fiber(I, rho))
-                    if got != want:
-                        out.append(("fiber", I, rho))
-                    for a in family.fiber(I, rho):
-                        image = iso2.fwd(I, rho, a)
-                        want_img = iso.fwd(I, rho, a) if inside else a
-                        if image != want_img:
-                            out.append(("iso-extends", I, rho, a))
-                        if iso2.bwd(I, rho, image) != a:
-                            out.append(("iso-retract", I, rho, a))
-            return out
+            return [*validate_cset(family, max_dim, max_points=12, max_pairs=250),
+                    *strict_data(cof, family, iso2)]
 
         _run_check(report, f"strictify/{cof.name}", run)
 
     for cof in _COFIBRATIONS:
         def run_fib(cof=cof):
             fib2, iso2 = strictify_fib(cof, A, B, iso)
-            out = []
-            for problem in enumerate_problems(fib2, max_dim):
-                result = fib2.comp(problem)
-                out.extend(check_boundary(fib2, problem, result))
-                if cof.face(problem.zctx, problem.path).is_top:
-                    if result != A.comp(problem):
-                        out.append(("A-restriction", problem))
-            for I in enumerate_contexts(max_dim):
-                for rho in iv.cells(I):
-                    if cof.holds(I, rho):
-                        if sorted(fib2.family.fiber(I, rho)) != sorted(A.family.fiber(I, rho)):
-                            out.append(("fiber", I, rho))
-                        for a in A.family.fiber(I, rho):
-                            if iso2.fwd(I, rho, a) != iso.fwd(I, rho, a):
-                                out.append(("iso-restricts", I, rho, a))
-            return out
+            return [*_boundary(fib2, max_dim, _inside(cof, A)),
+                    *strict_data(cof, fib2.family, iso2)]
 
         _run_check(report, f"strictify-fib/{cof.name}", run_fib)
 

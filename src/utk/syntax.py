@@ -4,10 +4,10 @@ Variables are de Bruijn indices; the names attached to binders are printing
 hints only and never influence equality (they are excluded from comparison).
 
 Terms are slotted dataclasses, small and quick to build, and nothing assigns
-a field of a term once it is built except checking's `Hole.solution`.  So a
-term may be shared, a DAG rather than a tree: every construction site takes
-its `Var` and `Universe` from `var` and `universe`, which keep one of each
-index and level, and a normal form shares every repeated subterm.
+a field of a term once it is built.  So a term may be shared, a DAG rather
+than a tree: every construction site takes its `Var` and `Universe` from
+`var` and `universe`, which keep one of each index and level, and a normal
+form shares every repeated subterm.
 """
 
 from __future__ import annotations
@@ -137,15 +137,14 @@ class Annot:
     type: "Term"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Hole:
-    """The placeholder `_`: the parser makes it, checking solves it in place,
-    and the elaborator replaces it by its solution before a declaration is
-    produced.  Never part of checked output."""
+    """The placeholder `_`: the parser makes it, checking records its solution
+    in `GlobalScope.solutions`, and the elaborator replaces it by that
+    solution before a declaration is produced.  Never part of checked output."""
 
     line: int = 0
     col: int = 0
-    solution: Optional["Term"] = None
 
 
 Term = Union[

@@ -208,3 +208,16 @@ def test_model_selftest_fixtures_flag(fixtures_selftest_cli):
     code, data = fixtures_selftest_cli
     assert code == 0
     assert any("loaded/F" in row["name"] for row in data["declarations"])
+
+
+def test_model_selftest_fails_a_fixture_with_no_problem(tmp_path, capsys):
+    """F's only fiber is empty and G's cset has no cells.  Both load, and the
+    composition rows on them fail for examining no problem."""
+    path = tmp_path / "fx.txt"
+    path.write_text("cset b\n  cells: p\n\nfamily F over b\n  fiber p:\n\n"
+                    "cset e\n  cells:\n\nfamily G over e\n")
+    code, out, _ = run_cli(capsys, "model-selftest", "--fixtures", str(path))
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  {row}/loaded/{name}: exception: no composition problem up to dimension 2"
+        for row in ("comp-boundary", "fill", "axiom-1-unit") for name in "FG"]

@@ -160,6 +160,16 @@ def test_boundary_flags_a_composition_that_ignores_the_walls():
     assert ST._boundary(stuck, 2)
 
 
+def test_boundary_flags_a_composition_that_differs_from_the_expected_one():
+    fib = next(fx.fib for fx in FX.builtin_fixtures() if fx.name == "pt/two")
+    # with no walls the result is free, so `odd` meets every wall
+    odd = FB.Fib(fib.family, lambda problem: "y" if problem.phi.is_bot else problem.a0)
+    assert ST._boundary(odd, 2) == []
+    violations = ST._boundary(odd, 2, fib.comp)
+    assert [(v[0], v[1].a0) for v in violations] == [("differs", "x")] * 4
+    assert ST._boundary(fib, 2, fib.comp) == []
+
+
 def test_endpoints_flags_a_wrong_recorded_target():
     A, _, _, path = two_point_path()
     assert ST._endpoints(path, 2) == []
@@ -269,3 +279,44 @@ def test_fill_and_contract_flag_a_partial_restriction_fault(model_report, monkey
     ST._run_check(report, rows[1], lambda: ST._endpoints(
         CO.contract_path(fx.fib, fx.contractible), 2))
     assert [e.name for e in report.entries if e.status != "ok"] == rows
+
+
+# Known-wrong constructions, each with the dim-2 row that catches it.
+_COMP_SIGMA = FB.comp_sigma
+
+
+def _fill_stays_at_a0(fib, problem, out_dim):
+    start = FB.path_at(fib.base, problem, problem.end(problem.e))
+    weaken = CS.CubeMap.weaken(problem.I, problem.I | {out_dim})
+    return fib.family.restrict(start, weaken, problem.a0)
+
+
+def _sigma_keeps_b0(first, second):
+    fib = _COMP_SIGMA(first, second)
+    return FB.Fib(fib.family, lambda problem: (fib.comp(problem)[0], problem.a0[1]))
+
+
+CONSTRUCTION_FAULTS = [
+    ("realign", lambda cof, beta, alpha: alpha, "axiom-3-contract/pt/interval-fiber"),
+    ("isofib", lambda iso, beta: FB.Fib(iso.source, beta.comp), "isopath/coerce-is-swap"),
+    ("improve", lambda line, iso0, iso1, source, target: CO.FibPath(line, source, target),
+     "isopath/endpoints"),
+    ("fill", _fill_stays_at_a0, "fill/pt/interval-fiber"),
+    ("comp_sigma", _sigma_keeps_b0, "comp-boundary/sigma"),
+]
+
+
+@pytest.mark.parametrize("name, fault, row", CONSTRUCTION_FAULTS,
+                         ids=[name for name, _, _ in CONSTRUCTION_FAULTS])
+def test_a_construction_fault_fails_its_row(model_report, monkeypatch, name, fault, row):
+    assert {e.name: e.status for e in model_report.entries}[row] == "ok"
+    for module in (FB, CO, FX, ST):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fault)
+    run_check = ST._run_check
+
+    def only_row(report, check, fn):
+        if check == row:
+            run_check(report, check, fn)
+    monkeypatch.setattr(ST, "_run_check", only_row)
+    assert [(e.name, e.status) for e in ST.run(2).entries] == [(row, "error")]
