@@ -11,10 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .interval import (
-    dm_is_const, dm_sym, face_bot, face_forall, face_of_eq, face_or,
-    face_subst_clause,
-)
+from .interval import dm_is_const, dm_sym, face_bot, face_forall, face_of_eq, face_or
 from .cset import (
     CSetMap, Cofibration, CubeMap, CubicalSet, Family, ProductIntervalCSet,
     ReindexedFamily, RestrictedCSet, cof_endpoints, fst_map, pairing_map,
@@ -94,8 +91,9 @@ def realign(cof: Cofibration, beta: Fib, alpha: Fib) -> Fib:
         phi2 = face_or(problem.phi, allf)
         values = {}
         for clause in phi2.clauses():
-            if face_subst_clause(allf, clause).is_top:  # the clause entails allf
-                restricted = restrict_problem(family, problem, clause)
+            if CubeMap.face(problem.I, clause).apply_face(allf).is_top:  # clause entails allf
+                restricted = restrict_problem(family, problem,
+                                              CubeMap.face(problem.zctx, clause))
                 values[clause] = fill_path(beta, restricted)
             else:
                 values[clause] = partial_at(family, problem, clause)
@@ -347,7 +345,7 @@ def contraction_fib(A: Fib, extend) -> Fib:
         for clause in face0.clauses():
             stage = clause_stage(problem.I, clause)
             x_c = base.restrict(CubeMap.face(problem.I, clause), end_x)
-            phi_c = face_subst_clause(problem.phi, clause)
+            phi_c = CubeMap.face(problem.I, clause).apply_face(problem.phi)
             values = {}
             for v in phi_c.clauses():
                 at_end = partial_at(family, problem, clause | v | problem.end(end))

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from .interval import (
     DM, Face, ModelError, ctx_sorted, dm_all, dm_basic, dm_const, dm_is_const,
     dm_join, dm_meet, dm_neg, dm_show, dm_subst, dm_sym, face_bot, face_of_eq,
-    face_or, face_top,
+    face_or, face_subst, face_top,
 )
 
 CANONICAL_DIMS = ("i", "j", "k")
@@ -89,6 +89,12 @@ class CubeMap:
             raise ElementNotInObjectError("interval element over the wrong context")
         return _apply_cached(self, r)
 
+    def apply_face(self, a: Face) -> Face:
+        """The pullback of a face formula over src to dst."""
+        if a.ctx != self.src:
+            raise ElementNotInObjectError("face formula over the wrong context")
+        return _apply_cached(self, a)
+
     def is_identity(self) -> bool:
         return self.src == self.dst and self is CubeMap.identity(self.src)
 
@@ -103,8 +109,9 @@ def _compose(f: CubeMap, g: CubeMap) -> CubeMap:
 
 
 @lru_cache(maxsize=None)
-def _apply_cached(f: CubeMap, r: DM) -> DM:
-    return dm_subst(r, f.assignment, f.dst)
+def _apply_cached(f: CubeMap, x):
+    """x·f for an interval element or a face formula x over f.src."""
+    return (dm_subst if type(x) is DM else face_subst)(x, f.assignment, f.dst)
 
 
 @lru_cache(maxsize=None)
@@ -429,7 +436,7 @@ def validate_cset(X, max_dim: int = 2, max_points: int = 24,
 
     Identities are checked on every sampled point; composition over
     composable pairs of representative maps between the canonical contexts,
-    capped per context triple.
+    capped per context triple.  Raises if no stage has a point.
     """
     if isinstance(X, Family):
         X = TotalCSet(X.base, X)
@@ -443,6 +450,8 @@ def validate_cset(X, max_dim: int = 2, max_points: int = 24,
             pts = pts[::step]
         return pts
 
+    if not any(points(context) for context in contexts):
+        raise ModelError(f"no cell up to dimension {max_dim}")
     for context in contexts:
         ident = CubeMap.identity(context)
         for x in points(context):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .interval import (
     Face, ModelError, dm_const, dm_join, dm_meet, dm_neg, dm_subst, dm_sym,
-    face_of_eq, face_or, face_subst_clause, face_weaken,
+    face_of_eq, face_or,
 )
 from .cset import (
     CubeMap, CubicalSet, Family, LabelFamily, SigmaFamily, TotalCSet, _factor,
@@ -127,16 +127,20 @@ def check_start_agreement(fib: Fib, problem: Problem) -> bool:
     return next(_end_violations(fib, problem, problem.e, problem.a0), None) is None
 
 
-def restrict_problem(family: Family, problem: Problem,
-                     clause: frozenset) -> Problem:
-    """Reindex a problem along the face map of a clause over its stage."""
-    new_phi = face_subst_clause(problem.phi, clause)
-    new_values = restrict_partial(family, problem.path, problem.values.items(),
-                                  CubeMap.face(problem.zctx, clause), new_phi.clauses())
-    start = path_at(family.base, problem, problem.end(problem.e))
-    new_a0 = family.restrict(start, CubeMap.face(problem.I, clause), problem.a0)
-    return Problem(clause_stage(problem.I, clause), problem.z, problem.e,
-                   path_at(family.base, problem, clause), new_phi, new_values, new_a0)
+def restrict_problem(family: Family, problem: Problem, f: CubeMap) -> Problem:
+    """Reindex a problem along a cube map f of I + z that keeps the end e of
+    z and sends each name of I to an element free of z.  The path and the
+    walls restrict along f; phi and a0 along the map `at_e` of I that f
+    induces at the end e."""
+    z, e = problem.z, problem.e
+    at_e = CubeMap.weaken(problem.I, problem.zctx).then(f).then(
+        CubeMap.face(f.dst, problem.end(e)))
+    phi = at_e.apply_face(problem.phi)
+    values = restrict_partial(family, problem.path, problem.values.items(), f,
+                              phi.clauses())
+    start = path_at(family.base, problem, problem.end(e))
+    return Problem(at_e.dst, z, e, family.base.restrict(f, problem.path), phi, values,
+                   family.restrict(start, at_e, problem.a0))
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +241,22 @@ def fill(fib: Fib, problem: Problem, out_dim: str):
         raise CompositionError("fill output dimension must be fresh")
     wctx = I | {w}
     wzctx = wctx | {z}
-    base = fib.base
     conn = dm_meet if e == 0 else dm_join
 
     squash = CubeMap.make(
         problem.zctx, wzctx,
         {**{n: dm_sym(wzctx, n) for n in I},
          z: conn(dm_sym(wzctx, z), dm_sym(wzctx, w))})
-    new_path = base.restrict(squash, problem.path)
-    new_phi = face_or(face_weaken(problem.phi, wctx),
-                      face_of_eq(dm_sym(wctx, w), e))
+    squashed = restrict_problem(fib.family, problem, squash)
 
-    # the phi walls squash their direction; the w = e walls are the
-    # constant path at a0
-    clauses = new_phi.clauses()
-    at_w = [c for c in clauses if w in dict(c)]
-    start = path_at(base, problem, problem.end(e))
-    new_values = restrict_partial(fib.family, problem.path, problem.values.items(),
-                                  squash, [c for c in clauses if c not in at_w])
-    new_values.update(restrict_partial(fib.family, start, [(frozenset(), problem.a0)],
-                                       CubeMap.weaken(I, wzctx), at_w))
-    a0w = fib.family.restrict(start, CubeMap.weaken(I, wctx), problem.a0)
-    return fib.comp(Problem(wctx, z, e, new_path, new_phi, new_values, a0w))
+    # the w = e walls are the constant path at a0
+    phi = face_or(squashed.phi, face_of_eq(dm_sym(wctx, w), e))
+    at_w = [c for c in phi.clauses() if w in dict(c)]
+    start = path_at(fib.base, problem, problem.end(e))
+    values = {**squashed.values,
+              **restrict_partial(fib.family, start, [(frozenset(), problem.a0)],
+                                 CubeMap.weaken(I, wzctx), at_w)}
+    return fib.comp(Problem(wctx, z, e, squashed.path, phi, values, squashed.a0))
 
 
 def fill_path(fib: Fib, problem: Problem):

@@ -3,10 +3,12 @@ fixture format for user-supplied tables.
 
 Built-in fixtures: constant discrete sets of sizes 1..3 over a point, one of
 size 2 over the truncated representable interval (`interval/two`), and the
-interval as a contractible fibration over a point.  Beside them are a
-dependent sum over a two-point base with an interval-valued slice and base
-maps for reindexing checks.  A fixture is a name, a fibration and, for the
-contractible ones, a contraction; its base is the fibration's base.
+interval over a point with a contraction, whose composition is not uniform
+(tests/test_fib.py::test_composition_commutes_with_restriction).  Beside
+them are a dependent sum over a two-point base with an interval-valued
+slice and base maps for reindexing checks.  A fixture is a name, a
+fibration and, for the contractible ones, a contraction; its base is the
+fibration's base.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ three-valued valuations {0, 1, generic}: the face lattice is the free
 distributive lattice on the literals (i=0), (i=1) modulo their meet being
 absurd, and those valuations are exactly its prime filters.  The equation
 (r = e) holds at such a valuation iff r is the constant e under every DM4
-completion of the generic dimensions.
+completion of the generic dimensions.  A face restricts along any cube
+map the way an element does: the pullback is a lattice map, so it takes
+each literal (n = e) of the face's clauses to the face (r = e) of the
+element r assigned to n.
 
 Both are packed into ints and interned per context: equal elements and equal
 faces are the same object, so they compare and hash by identity.
@@ -69,7 +72,6 @@ class _Context:
                                        enumerate(itertools.product(_DM4, repeat=n))))
                      for i, name in enumerate(self.names)}
         self.face_vals = tuple(itertools.product(_FACE_VALUES, repeat=n))
-        self.face_index = {v: k for k, v in enumerate(self.face_vals)}
         self.face_full = (1 << len(self.face_vals)) - 1
 
     def dm(self, table: int) -> "DM":
@@ -314,13 +316,8 @@ def face_bot(context: frozenset) -> Face:
     return _context(context).face(0)
 
 
-@lru_cache(maxsize=None)
 def face_eq_sym(context: frozenset, name: str, endpoint: int) -> Face:
-    if name not in context:
-        raise ContextMismatchError(f"{name} not in context {sorted(context)}")
-    c = _context(context)
-    i = c.names.index(name)
-    return c.face(sum(1 << k for k, v in enumerate(c.face_vals) if v[i] == endpoint))
+    return face_of_eq(dm_sym(context, name), endpoint)
 
 
 def face_and(a: Face, b: Face) -> Face:
@@ -331,33 +328,6 @@ def face_and(a: Face, b: Face) -> Face:
 def face_or(a: Face, b: Face) -> Face:
     _same_ctx(a, b)
     return a._c.face(a.sat | b.sat)
-
-
-@lru_cache(maxsize=None)
-def _pullback_masks(source: frozenset, target: frozenset, clause: frozenset) -> tuple:
-    """For each {0, 1, generic} valuation w over target, the mask of the
-    valuations over source that agree with w and with clause where these
-    fix a symbol, and take every value elsewhere."""
-    s, t = _context(source), _context(target)
-    masks = []
-    for w in t.face_vals:
-        env = {**dict(zip(t.names, w)), **dict(clause)}
-        choices = [(env[n],) if n in env else _FACE_VALUES for n in s.names]
-        masks.append(sum(1 << s.face_index[v] for v in itertools.product(*choices)))
-    return t, tuple(masks)
-
-
-def _pullback(a: Face, target: frozenset, clause: frozenset = frozenset()) -> Face:
-    """The face over target that holds at w iff a holds at every valuation
-    of its mask."""
-    t, masks = _pullback_masks(a.ctx, target, clause)
-    return t.face(sum(1 << k for k, m in enumerate(masks) if a.sat & m == m))
-
-
-def face_forall(a: Face, name: str) -> Face:
-    """Right adjoint to weakening by `name`: holds when every instantiation
-    of `name` (0, 1, or generic) satisfies a."""
-    return _pullback(a, a.ctx - {name})
 
 
 @lru_cache(maxsize=None)
@@ -384,12 +354,29 @@ def face_of_eq(r: DM, endpoint: int) -> Face:
     return r._c.face(sum(bit for bit, m in _completions(r.ctx) if t & m == m))
 
 
-def face_weaken(a: Face, target: frozenset) -> Face:
-    """Reinterpret a over a larger context."""
-    return _pullback(a, target)
+def _join_of_clauses(clauses, assign: dict, target: frozenset) -> Face:
+    """The join over clauses of the meet of (assign[n] = e) over each literal
+    (n, e) of the clause, a face over target."""
+    out = face_bot(target)
+    for clause in clauses:
+        meet = face_top(target)
+        for name, endpoint in clause:
+            meet = face_and(meet, face_of_eq(assign[name], endpoint))
+        out = face_or(out, meet)
+    return out
 
 
-def face_subst_clause(a: Face, clause: frozenset) -> Face:
-    """Substitute the endpoints of `clause` into a (a face over the smaller
-    context)."""
-    return _pullback(a, a.ctx - {n for n, _ in clause}, clause)
+def face_subst(a: Face, assign: dict, target: frozenset) -> Face:
+    """Pull a back along `assign` (symbol -> DM over target).  Pullback is a
+    lattice map taking (n = e) to (assign[n] = e), so it maps a's clauses
+    literal by literal, as `dm_subst` maps a normal form."""
+    return _join_of_clauses(a.clauses(), assign, target)
+
+
+def face_forall(a: Face, name: str) -> Face:
+    """Right adjoint to weakening by `name`: holds when every instantiation
+    of `name` (0, 1, or generic) satisfies a, which is when a clause that
+    leaves `name` free does."""
+    target = a.ctx - {name}
+    return _join_of_clauses([c for c in a.clauses() if name not in dict(c)],
+                            _context(target).syms, target)

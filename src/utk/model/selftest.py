@@ -166,21 +166,26 @@ def _endpoints(path: FibPath, max_dim: int) -> list:
 
 def _witness(iso: StrictIso, path: FibPath, max_dim: int) -> list:
     """Violations of the coercion witness at every stage below the bound: its
-    w = 0 end must be iso.fwd(a), its w = 1 end the coercion of a along path."""
+    w = 0 end must be iso.fwd(a), its w = 1 end the coercion of a along path.
+    Raises if there is no element to coerce."""
     B = path.target
     out = []
+    seen = 0
     for I in enumerate_contexts(max_dim - 1):
         wctx = I | {"w"}
         ends = [CubeMap.face(wctx, frozenset({("w", e)})) for e in (0, 1)]
         for x in B.base.cells(I):
             x_w = B.base.restrict(CubeMap.weaken(I, wctx), x)
             for a in iso.source.sample_fiber(I, x):
+                seen += 1
                 q = coerce_iso_witness(iso, B, I, x, a)
                 at0, at1 = (B.family.restrict(x_w, f, q) for f in ends)
                 if at0 != iso.fwd(I, x, a):
                     out.append(("at0", I, x, a, at0))
                 if at1 != coerce_along(path, I, x, a):
                     out.append(("at1", I, x, a, at1))
+    if not seen:
+        raise ModelError(f"no element to coerce up to dimension {max_dim}")
     return out
 
 

@@ -211,13 +211,20 @@ def test_model_selftest_fixtures_flag(fixtures_selftest_cli):
 
 
 def test_model_selftest_fails_a_fixture_with_no_problem(tmp_path, capsys):
-    """F's only fiber is empty and G's cset has no cells.  Both load, and the
-    composition rows on them fail for examining no problem."""
+    """F's only fiber is empty and G's cset has no cells.  Both load, and
+    every row on them fails for examining nothing: no cell, no composition
+    problem or no element to coerce."""
     path = tmp_path / "fx.txt"
     path.write_text("cset b\n  cells: p\n\nfamily F over b\n  fiber p:\n\n"
                     "cset e\n  cells:\n\nfamily G over e\n")
     code, out, _ = run_cli(capsys, "model-selftest", "--fixtures", str(path))
     assert code == 1
+    cell, problem, element = (f"no {what} up to dimension 2" for what in
+                              ("cell", "composition problem", "element to coerce"))
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        f"FAIL  {row}/loaded/{name}: exception: no composition problem up to dimension 2"
-        for row in ("comp-boundary", "fill", "axiom-1-unit") for name in "FG"]
+        f"FAIL  {row}/loaded/{name}: exception: {why}" for row, name, why in (
+            ("functor-laws", "F", cell), ("functor-laws", "G", cell),
+            ("comp-boundary", "F", problem), ("comp-boundary", "G", problem),
+            ("fill", "F", problem), ("fill", "G", problem),
+            ("axiom-1-unit", "F", problem), ("axiom-4-unit-beta", "F", element),
+            ("axiom-1-unit", "G", problem), ("axiom-4-unit-beta", "G", element))]

@@ -5,8 +5,9 @@ import pytest
 from utk.model import cset as CS
 from utk.model import fib as FB
 from utk.model import fixtures as FX
+from utk.model import selftest as ST
 from utk.model.interval import (
-    ctx, dm_const, dm_eq, dm_meet, dm_neg, dm_sym, face_bot,
+    ctx, dm_const, dm_eq, dm_join, dm_meet, dm_neg, dm_sym, face_bot,
     face_eq_sym, face_or, face_top,
 )
 
@@ -121,7 +122,6 @@ def test_sigma_comp_forced_by_top():
 
 
 def test_problem_enumeration_respects_preconditions():
-    from utk.model import selftest as ST
     point = CS.DiscreteCSet(["pt"])
     fib = FX.discrete_fib(point, ["x", "y"])
     count = 0
@@ -151,3 +151,51 @@ def test_restrict_partial_names_an_uncovered_clause():
     with pytest.raises(FB.CompositionError, match=re.escape(str(sorted(i1)))):
         FB.restrict_partial(w.family, "pt", [(frozenset({("i", 0)}), dm_const(E, 1))],
                             CS.CubeMap.identity(I), [i1])
+
+
+def with_z(f, z):
+    """The map f: I -> J extended to I + z -> J + z, leaving z alone."""
+    jz = f.dst | {z}
+    up = CS.CubeMap.weaken(f.dst, jz)
+    return CS.CubeMap.make(f.src | {z}, jz,
+                           {**{n: up.apply_dm(r) for n, r in f.assign}, z: dm_sym(jz, z)})
+
+
+def uniformity_violations(fib, max_dim=2):
+    """The number of cases, and the map of each violation, of uniformity:
+    comp(P)·f against comp(P·f), for each enumerated problem P and each
+    enumerated map f from its stage to a stage below the bound."""
+    cases, bad = 0, []
+    for problem in ST.enumerate_problems(fib, max_dim):
+        end = FB.path_at(fib.base, problem, problem.end(1 - problem.e))
+        result = fib.comp(problem)
+        for J in CS.enumerate_contexts(max_dim - 1):
+            for f in CS.enumerate_maps(problem.I, J):
+                cases += 1
+                restricted = FB.restrict_problem(fib.family, problem, with_z(f, problem.z))
+                assert FB.check_start_agreement(fib, restricted), (problem, f)
+                if fib.family.restrict(end, f, result) != fib.comp(restricted):
+                    bad.append(f)
+    return cases, bad
+
+
+def _uniformity_fibs():
+    fibs = {fx.name: fx.fib for fx in FX.builtin_fixtures()}
+    fibs["sigma"] = FX.sigma_fixture()[3]
+    return fibs
+
+
+@pytest.mark.parametrize("name, cases, violations", [
+    ("pt/one", 88, 0), ("pt/two", 176, 0), ("pt/three", 264, 0),
+    ("interval/two", 2976, 0), ("pt/interval-fiber", 1856, 24), ("sigma", 2840, 24)])
+def test_composition_commutes_with_restriction(name, cases, violations):
+    # CCHM composition is uniform.  The interval over the point is not: with
+    # phi = (i=0), a wall z and a0 = 0 at e = 0, the ends force c = ~i, yet
+    # i |-> i \/ ~i pulls phi back to bottom, so c restricted must be a0 = 0,
+    # and ~(i \/ ~i) is i /\ ~i.  The sigma fixture fails through its interval
+    # slice; each violation is along i |-> i /\ ~i or i |-> i \/ ~i.
+    got_cases, bad = uniformity_violations(_uniformity_fibs()[name])
+    assert (got_cases, len(bad)) == (cases, violations)
+    i = dm_sym(I, "i")
+    squashes = {CS.CubeMap.make(I, I, {"i": op(i, dm_neg(i))}) for op in (dm_meet, dm_join)}
+    assert set(bad) <= squashes

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from utk.model import interval as IV
-from utk.model.cset import CubeMap
+from utk.model.cset import CubeMap, enumerate_contexts, enumerate_maps
 from utk.model.interval import (
     GEN, ctx, dm_all, dm_basic, dm_const, dm_eq, dm_is_const, dm_join,
     dm_meet, dm_neg, dm_subst, dm_sym, face_and, face_bot, face_eq_sym,
-    face_forall, face_of_eq, face_or, face_subst_clause, face_top, face_weaken,
+    face_forall, face_of_eq, face_or, face_top,
 )
 
 I = ctx("i")
@@ -156,22 +156,48 @@ def test_face_clauses_and_entailment():
     assert not f.entails(face_eq_sym(IJ, "i", 0))
 
 
+def all_faces(context):
+    """Every face over context: the closure of the literals, top and bottom
+    under meet and join."""
+    faces = dict.fromkeys([face_top(context), face_bot(context)]
+                          + [face_eq_sym(context, n, e) for n in context for e in (0, 1)])
+    while True:
+        current = list(faces)
+        for a, b in itertools.product(current, repeat=2):
+            faces.update(dict.fromkeys((face_and(a, b), face_or(a, b))))
+        if len(faces) == len(current):
+            return current
+
+
 @pytest.mark.parametrize("n", range(3))
 def test_clause_entails_a_face_iff_substituting_it_gives_top(n):
-    # over every face of up to two symbols, bitmasks included that no formula
-    # builds, and every clause of the context
+    # over every face of up to two symbols and every clause of the context
     context = ctx(*"ij"[:n])
     names = sorted(context)
     clauses = [frozenset((m, e) for m, e in zip(names, ends) if e is not None)
                for ends in itertools.product((None, 0, 1), repeat=n)]
-    c = IV._context(context)
-    for sat in range(c.face_full + 1):
-        a = c.face(sat)
+    faces = all_faces(context)
+    assert len(faces) == (2, 5, 48)[n]
+    for a in faces:
         for clause in clauses:
             as_face = face_top(context)
             for m, e in clause:
                 as_face = face_and(as_face, face_eq_sym(context, m, e))
-            assert as_face.entails(a) == face_subst_clause(a, clause).is_top, (a, clause)
+            along = CubeMap.face(context, clause).apply_face(a)
+            assert as_face.entails(a) == along.is_top, (a, clause)
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_faces_restrict_as_their_equations(n):
+    # (r = e)·f is (r·f = e) for every element r over up to two symbols and
+    # every enumerated map f out of its context
+    context = ctx(*"ij"[:n])
+    for r in dm_all(context):
+        for e in (0, 1):
+            a = face_of_eq(r, e)
+            for dst in enumerate_contexts(2):
+                for f in enumerate_maps(context, dst):
+                    assert f.apply_face(a) is face_of_eq(f.apply_dm(r), e), (r, e, f)
 
 
 def test_face_meet_of_opposites_is_bot():
@@ -224,9 +250,9 @@ def test_face_of_eq_respects_dm_equality():
 
 def test_face_subst_clause():
     f = face_or(face_eq_sym(IJ, "i", 0), face_eq_sym(IJ, "j", 1))
-    g = face_subst_clause(f, frozenset({("i", 0)}))
+    g = CubeMap.face(IJ, frozenset({("i", 0)})).apply_face(f)
     assert g.is_top
-    h = face_subst_clause(f, frozenset({("i", 1)}))
+    h = CubeMap.face(IJ, frozenset({("i", 1)})).apply_face(f)
     assert h.sat == face_eq_sym(ctx("j"), "j", 1).sat
 
 
@@ -362,9 +388,13 @@ def face_valuations(names):
 
 
 def face_set(a):
-    """The satisfying valuations a face's bitmask stands for."""
-    return frozenset(v for k, v in enumerate(face_valuations(sorted(a.ctx)))
-                     if a.sat >> k & 1)
+    """The satisfying valuations a face's bitmask stands for, which are closed
+    upward: setting a generic dimension to 0 or 1 keeps a valuation in."""
+    out = frozenset(v for k, v in enumerate(face_valuations(sorted(a.ctx)))
+                    if a.sat >> k & 1)
+    assert all(v[:k] + (e,) + v[k + 1:] in out
+               for v in out for k, x in enumerate(v) if x == GEN for e in (0, 1)), a
+    return out
 
 
 def random_face(rng, context, depth):
@@ -433,9 +463,11 @@ def test_face_bitmasks_match_valuation_sets(n):
             assert face_set(face_forall(a, name)) == ref_forall(sa, names, name)
         for extra in ("l", "lm"):
             target = context | set(extra)
-            assert face_set(face_weaken(a, target)) == ref_weaken(sa, names, target)
+            along = CubeMap.weaken(context, target).apply_face(a)
+            assert face_set(along) == ref_weaken(sa, names, target)
         clause = frozenset((m, rng.randint(0, 1)) for m in names if rng.random() < 0.5)
-        assert face_set(face_subst_clause(a, clause)) == ref_subst_clause(sa, names, clause)
+        along = CubeMap.face(context, clause).apply_face(a)
+        assert face_set(along) == ref_subst_clause(sa, names, clause)
 
 
 def test_equal_values_are_the_same_object():
